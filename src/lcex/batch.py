@@ -2,7 +2,8 @@
 
 Every step of the scalar decomposition is a gather: leaf location walks the
 lifting table bit by bit, the LCA depth is one sparse-table lookup over the
-Euler tour, and the block-code reduction is arithmetic plus one more lookup.
+adjacent-leaf LCPs between the two leaf ranks, and the block-code reduction
+is arithmetic plus one more lookup.
 Lanes that reach the boundary fallback or a chained capped call iterate under
 a shrinking mask; iteration counts carry the same O(1) bounds as the scalar
 code.
@@ -49,10 +50,9 @@ def short_lce_batch(ix: LceIndex, I: np.ndarray, J: np.ndarray) -> np.ndarray:
     tp = ix.nav.t
     u = _locate_batch(ix, I)
     v = _locate_batch(ix, J)
-    fa = tree.first_leaf[u]
-    fb = tree.first_leaf[v]
-    lo = np.minimum(fa, fb)
-    hi = np.maximum(fa, fb)
+    hi = np.maximum(u, v)
+    # lanes with u == v read a dummy in-range cell and are overwritten below
+    lo = np.minimum(np.minimum(u, v) + 1, hi)
     val = tree.tour_sparse.query_batch(lo, hi).astype(np.int64)
     same = u == v
     if same.any():

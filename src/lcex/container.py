@@ -4,8 +4,10 @@ Layout: magic "LCEX", version u16, flags u16, then length-prefixed sections
 in fixed order (params, tst, navtree, blockcode, stats, and a packed section
 when flag bit 0 is set).  All integers are fixed-width little-endian.  Arrays
 carry a dtype tag chosen deterministically from their value range, so
-serialize(load(b)) reproduces b byte for byte.  Derived structures (sparse
-tables, lifting tables, child maps) are rebuilt on load.
+serialize(load(b)) reproduces b byte for byte.  Load rebuilds only what a
+query reads: two sparse tables (over the trie's leaf LCPs and the block
+code's LCPs) and a navigation lifting table of max(1, ceil(log2 t'))
+levels.  Trie child maps are built only on demand.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import struct
 import numpy as np
 
 from .errors import FormatError
+from .suffixes import SparseMin
 
 MAGIC = b"LCEX"
 VERSION = 1
@@ -116,8 +119,6 @@ def _read_blockcode(r: _Reader):
     bc = BlockCode.__new__(BlockCode)
     bc.t, bc.n, bc.cover, bc.code = t, n, cover, code
     bc.sa, bc.isa, bc.lcp = sa, isa, lcp
-    from .suffixes import SparseMin
-
     bc.rmq = SparseMin(lcp) if len(code) else None
     bc._isa_list = isa.tolist()
     bc._code_list = code.tolist()
@@ -231,7 +232,9 @@ def load_index(data: bytes):
     tree.estart = r.array().astype(np.int64).tolist()
     tree.elen = r.array().astype(np.int64).tolist()
     tree.leaves = r.array().astype(np.int64).tolist()
-    tree.leaf_lcp = r.array().astype(np.int64).tolist()
+    leaf_lcp = r.array()
+    tree.leaf_lcp = leaf_lcp.astype(np.int64).tolist()
+    tree.tour_sparse = SparseMin(leaf_lcp)
     tg = r.array().astype(np.int64).tolist()
     tgd = r.i64()
     tree.tgram_rank = tg if tg else None
@@ -240,9 +243,6 @@ def load_index(data: bytes):
     tree.inserted_nodes = r.u64()
     tree.ref = r.array()
     tree.ref_is_private = True
-    tree.node_repr = [0] * len(tree.parent)
-    tree._rebuild_children()
-    tree._finalize_lca()
 
     r = section()
     nav_t = r.u64()

@@ -122,10 +122,6 @@ class CoverIndex:
         ri = self._residue_index[i % self.t]
         return (i - self._first_pos[ri]) // self.t
 
-    def seg_offset(self, x: int) -> int:
-        """Start offset of residue x's segment inside code(w)."""
-        return self._seg_start[self._residue_index[x]]
-
     def pos_in_code(self, i: int) -> int:
         """0-based position of block i inside code(w); block must be defined."""
         ri = self._residue_index[i % self.t]

@@ -17,7 +17,12 @@ from .tst import TruncatedSuffixTree
 
 
 class NavTree:
-    """Parent links over trie leaves plus level-ancestor and sampled pointers."""
+    """Parent links over trie leaves plus level-ancestor and sampled pointers.
+
+    ``locate`` climbs fewer than t levels, so the lifting table stops at the
+    jump 2^(L-1) with L = max(1, bit_length(t-1)); ``level_ancestor`` takes
+    repeated top-level jumps for the bits above it.
+    """
 
     def __init__(self, t: int, n: int, parent: list[int], root: int,
                  sampled: list[int], level_ancestor: str = "lifting"):
@@ -27,21 +32,30 @@ class NavTree:
         self.root = root
         self.sampled = sampled
         self.mode = level_ancestor
-        self.depth = self._compute_depths()
-        self.lift = self._build_lifting()
+        self._depth: list[int] | None = None
+        # lift_np[k][v] is the 2^k-th ancestor of v (the root maps to itself);
+        # the scalar path reads zero-copy memoryviews of its rows
+        self.lift_np = self._build_lifting()
+        self.lift = [memoryview(row) for row in self.lift_np]
         self.ladder_of: list[tuple[int, int]] | None = None
         self.ladders: list[list[int]] | None = None
         if level_ancestor == "ladder":
             self._build_ladders()
         elif level_ancestor != "lifting":
             raise ValueError(f"unknown level-ancestor mode {level_ancestor!r}")
-        # numpy mirrors for the batch query path
+        # numpy mirror for the batch query path
         self.sampled_np = np.asarray(sampled, dtype=np.int64)
-        self.lift_np = np.asarray(self.lift, dtype=np.int64)
 
     @property
     def node_count(self) -> int:
         return len(self.parent)
+
+    @property
+    def depth(self) -> list[int]:
+        """Per node, its number of parent steps to the root; built on first use."""
+        if self._depth is None:
+            self._depth = self._compute_depths()
+        return self._depth
 
     def _compute_depths(self) -> list[int]:
         depth = [-1] * len(self.parent)
@@ -60,13 +74,13 @@ class NavTree:
                 depth[w] = d
         return depth
 
-    def _build_lifting(self) -> list[list[int]]:
-        levels = max(1, max(self.depth).bit_length())
-        up = [list(self.parent)]
-        up[0][self.root] = self.root
+    def _build_lifting(self) -> np.ndarray:
+        levels = max(1, (self.t - 1).bit_length())
+        up = np.empty((levels, len(self.parent)), dtype=np.int64)
+        up[0] = self.parent
+        up[0, self.root] = self.root
         for k in range(1, levels):
-            prev = up[-1]
-            up.append([prev[prev[v]] for v in range(len(prev))])
+            up[k] = up[k - 1][up[k - 1]]
         return up
 
     def _build_ladders(self) -> None:
@@ -114,11 +128,16 @@ class NavTree:
 
     def level_ancestor(self, v: int, d: int) -> int:
         """The d-th ancestor of v; d must not exceed depth(v)."""
+        lift = self.lift
+        top = len(lift) - 1
+        while d >> top > 1:   # d >= 2^(top+1): above the table
+            v = lift[top][v]
+            d -= 1 << top
         if d == 0:
             return v
         if self.mode == "ladder":
             k = d.bit_length() - 1
-            v = self.lift[k][v]
+            v = lift[k][v]
             d -= 1 << k
             if d == 0:
                 return v
@@ -127,7 +146,7 @@ class NavTree:
         k = 0
         while d:
             if d & 1:
-                v = self.lift[k][v]
+                v = lift[k][v]
             d >>= 1
             k += 1
         return v
@@ -137,7 +156,17 @@ class NavTree:
         t = self.t
         k = (i - 1) // t
         d = i - 1 - k * t
-        return self.level_ancestor(self.sampled[k], d)
+        if self.ladders is not None:
+            return self.level_ancestor(self.sampled[k], d)
+        v = self.sampled[k]
+        lift = self.lift
+        b = 0
+        while d:
+            if d & 1:
+                v = lift[b][v]
+            d >>= 1
+            b += 1
+        return v
 
 
 def build_navtree(t: Text, tree: TruncatedSuffixTree, blk: int,

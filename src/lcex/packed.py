@@ -59,16 +59,6 @@ def pack(t: Text, word_size: int = 64) -> PackedText:
     return PackedText(bits=raw, b=b, n=t.n, word_size=word_size, nbits=nbits)
 
 
-def _msb8(x: int) -> int:
-    """Portable byte-table msb: index of the highest set bit of a byte."""
-    return _MSB_TABLE[x]
-
-
-_MSB_TABLE = [0] * 256
-for _v in range(1, 256):
-    _MSB_TABLE[_v] = _v.bit_length() - 1
-
-
 def leading_equal_bits(x: int, width: int) -> int:
     """Bits before the most significant set bit of x, within width."""
     if x == 0:

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from array import array as array_module
-
 import numpy as np
 
 _SMALL_N = 96
@@ -76,16 +74,16 @@ def lcp_array(seq: np.ndarray, sa: np.ndarray) -> np.ndarray:
 def log2_table(n: int) -> np.ndarray:
     """Lookup of floor(log2(x)) for x in [0..n]; entry 0 is unused."""
     table = np.zeros(n + 1, dtype=np.uint8)
-    for k in range(2, n + 1):
-        table[k] = table[k >> 1] + 1
+    for k in range(1, n.bit_length()):
+        table[1 << k : 1 << (k + 1)] = k
     return table
 
 
 class SparseMin:
     """Static range-minimum over an integer array; O(1) value queries.
 
-    Batch queries gather from the numpy table; scalar queries go through a
-    flat C-int mirror (built lazily) to avoid per-element numpy overhead.
+    Batch queries gather from the numpy table; scalar queries read a
+    zero-copy memoryview of it, which avoids per-element numpy boxing.
     """
 
     def __init__(self, values: np.ndarray):
@@ -101,18 +99,11 @@ class SparseMin:
             m = self.size - (1 << k) + 1
             np.minimum(table[k - 1, :m], table[k - 1, half : half + m], out=table[k, :m])
         self.table = table
-        self._flat = None
-
-    def _ensure_flat(self):
-        if self._flat is None:
-            flat = array_module("i")
-            flat.frombytes(np.ascontiguousarray(self.table, dtype="<i4").tobytes())
-            self._flat = flat
-        return self._flat
+        self._flat = memoryview(table.reshape(-1))
 
     def query(self, lo: int, hi: int) -> int:
         """Minimum of values[lo..hi], both ends inclusive."""
-        flat = self._flat or self._ensure_flat()
+        flat = self._flat
         k = int(hi - lo + 1).bit_length() - 1
         base = k * self.size
         a = flat[base + lo]

@@ -20,7 +20,8 @@ class TruncatedSuffixTree:
     Nodes are parallel arrays (parent, string depth, edge window into
     ``ref``); ``leaves`` lists leaf node ids in lexicographic order.  After
     ``compact_reference`` the edge windows point into a private reference
-    string and the original text is no longer needed.
+    string and the original text is no longer needed.  Child maps are built
+    on first access; queries never read them.
     """
 
     def __init__(self, q: int, n: int):
@@ -30,8 +31,8 @@ class TruncatedSuffixTree:
         self.sdepth: list[int] = []
         self.estart: list[int] = []
         self.elen: list[int] = []
-        self.node_repr: list[int] = []   # leftmost occurrence of str(node), 0-based
-        self.children: list[dict | None] = []
+        self.node_repr: list[int] = []   # build only: leftmost occurrence of str(node), 0-based
+        self._children: list[dict | None] | None = None
         self.leaves: list[int] = []
         self.leaf_lcp: list[int] = []    # lcp of adjacent leaf strings, [0] = 0
         self.ref: np.ndarray | None = None
@@ -41,10 +42,9 @@ class TruncatedSuffixTree:
         self.tgram_depth: int | None = None
         self.tgram_count: int = 0
         self.inserted_nodes: int = 0
-        # LCA plumbing, built by _finalize_lca
-        self.first_leaf: np.ndarray | None = None
+        # range minimum over leaf_lcp: the LCA depth of two leaves (the name
+        # predates it; perfbench/worker.py reads the attribute)
         self.tour_sparse: SparseMin | None = None
-        self._first_leaf_list: list[int] | None = None
         # transient: position -> leaf rank, dropped once dependents are built
         self.leaf_of_pos: np.ndarray | None = None
 
@@ -65,8 +65,22 @@ class TruncatedSuffixTree:
         self.estart.append(0)
         self.elen.append(0)
         self.node_repr.append(repr_pos)
-        self.children.append(None)
         return nid
+
+    @property
+    def children(self) -> list[dict | None]:
+        """Per node, its children keyed by first edge symbol (None for leaves)."""
+        if self._children is None:
+            kids: list[dict | None] = [None] * self.node_count
+            first = self.ref[np.asarray(self.estart[1:], dtype=np.int64)].tolist()
+            parent = self.parent
+            for v, sym in enumerate(first, 1):
+                c = kids[parent[v]]
+                if c is None:
+                    c = kids[parent[v]] = {}
+                c[sym] = v
+            self._children = kids
+        return self._children
 
     def node_string(self, node: int) -> list[int]:
         """Decode str(node) by walking edge windows up to the root."""
@@ -84,10 +98,6 @@ class TruncatedSuffixTree:
     def leaf_string(self, leaf_rank: int) -> list[int]:
         return self.node_string(self.leaves[leaf_rank])
 
-    def child_count(self, node: int) -> int:
-        c = self.children[node]
-        return len(c) if c else 0
-
     def descend_suffix(self, symbols: list[int]) -> int | None:
         """Walk edge labels from the root along ``symbols`` until a leaf.
 
@@ -95,10 +105,11 @@ class TruncatedSuffixTree:
         exhausts the input between nodes.  Feeding a whole suffix w[i..n]
         always ends exactly at the leaf spelling its q-clipped form.
         """
+        children = self.children
         v = 0
         pos = 0
         while True:
-            c = self.children[v]
+            c = children[v]
             if not c:
                 return v
             if pos >= len(symbols):
@@ -119,20 +130,20 @@ class TruncatedSuffixTree:
     def lca_prefix_len(self, leaf_a: int, leaf_b: int) -> int:
         """String depth of the LCA of two leaves (by rank); O(1).
 
-        String depth is strictly increasing along root paths, so the minimum
-        over the Euler tour between the two first occurrences is exactly the
-        LCA's depth, which equals the common prefix length of the leaf strings.
+        Leaves are in lexicographic order, so the common prefix of leaves
+        a < b is the minimum of the adjacent-leaf LCPs leaf_lcp[a+1..b] (the
+        LCP-interval view of the trie); a leaf with itself is its full depth.
         """
-        fa = self._first_leaf_list[leaf_a]
-        fb = self._first_leaf_list[leaf_b]
-        if fa > fb:
-            fa, fb = fb, fa
-        return self.tour_sparse.query(fa, fb)
+        if leaf_a == leaf_b:
+            return self.sdepth[self.leaves[leaf_a]]
+        if leaf_a > leaf_b:
+            leaf_a, leaf_b = leaf_b, leaf_a
+        return self.tour_sparse.query(leaf_a + 1, leaf_b)
 
     # -- construction passes ---------------------------------------------------
 
     def _finalize_edges(self) -> None:
-        """Derive edge windows and child maps from node_repr and depths."""
+        """Derive edge windows from node_repr and depths."""
         order = sorted(range(1, self.node_count), key=self.sdepth.__getitem__, reverse=True)
         for v in order:
             p = self.parent[v]
@@ -142,46 +153,11 @@ class TruncatedSuffixTree:
             p = self.parent[v]
             self.estart[v] = self.node_repr[v] + self.sdepth[p]
             self.elen[v] = self.sdepth[v] - self.sdepth[p]
-        self._rebuild_children()
-
-    def _rebuild_children(self) -> None:
-        self.children = [None] * self.node_count
-        first = self.ref
-        for v in range(1, self.node_count):
-            p = self.parent[v]
-            sym = int(first[self.estart[v]])
-            c = self.children[p]
-            if c is None:
-                c = {}
-                self.children[p] = c
-            c[sym] = v
-
-    def _finalize_lca(self) -> None:
-        """Euler tour plus sparse minimum over string depths."""
-        order_children: list[list[int]] = [[] for _ in range(self.node_count)]
-        for v, c in enumerate(self.children):
-            if c:
-                order_children[v] = [c[k] for k in sorted(c)]
-        tour_sdepth: list[int] = []
-        first = [-1] * self.node_count
-        stack: list[tuple[int, int]] = [(0, 0)]
-        while stack:
-            v, ci = stack.pop()
-            if ci == 0:
-                first[v] = len(tour_sdepth)
-            tour_sdepth.append(self.sdepth[v])
-            kids = order_children[v]
-            if ci < len(kids):
-                stack.append((v, ci + 1))
-                stack.append((kids[ci], 0))
-        self.tour_sparse = SparseMin(np.asarray(tour_sdepth, dtype=np.int32))
-        fl = [first[leaf] for leaf in self.leaves]
-        self.first_leaf = np.asarray(fl, dtype=np.int64)
-        self._first_leaf_list = fl
 
 
 def build_tst(t: Text, q: int) -> TruncatedSuffixTree:
-    """Build the q-truncated suffix tree with lex-sorted leaves and O(1) LCA.
+    """Build the q-truncated suffix tree with lex-sorted leaves and O(1) LCA
+    depth (one range minimum over leaf_lcp).
 
     Edges reference the Text until ``compact_reference`` rebases them.
     """
@@ -208,6 +184,7 @@ def build_tst(t: Text, q: int) -> TruncatedSuffixTree:
     tree.ref = t.arr
     root = tree._new_node(parent=-1, sdepth=0, repr_pos=int(sa[0]))
     tree.leaf_lcp = leaf_lcp.tolist()
+    tree.tour_sparse = SparseMin(leaf_lcp)
 
     lens = leaf_len.tolist()
     lcps = tree.leaf_lcp
@@ -235,7 +212,6 @@ def build_tst(t: Text, q: int) -> TruncatedSuffixTree:
         stack.append(leaf)
 
     tree._finalize_edges()
-    tree._finalize_lca()
 
     leaf_of_pos = np.empty(n, dtype=np.int64)
     leaf_of_pos[sa] = group
@@ -286,7 +262,6 @@ def compact_reference(tree: TruncatedSuffixTree, t: Text) -> TruncatedSuffixTree
             tree.estart[v] = rebase(tree.estart[v], tree.elen[v])
     tree.ref = refstr
     tree.ref_is_private = True
-    tree._rebuild_children()
     return tree
 
 
@@ -340,6 +315,5 @@ def mark_tgram_nodes(tree: TruncatedSuffixTree, t: int) -> list[int]:
     tree.tgram_rank = ranks
     tree.tgram_depth = t
     tree.tgram_count = rank
-    tree._rebuild_children()
-    tree._finalize_lca()
+    tree._children = None
     return ranks

@@ -81,3 +81,25 @@ def test_batch_range_check():
         lce_batch(ix, np.array([0]), np.array([1]))
     with pytest.raises(OutOfRange):
         lce_batch(ix, np.array([1]), np.array([text.n + 1]))
+
+
+def test_short_batch_same_leaf_at_rank_edges():
+    from lcex.container import dump_index, load_index
+
+    for raw, t in [(FIG_W, 1), (FIG_W, 2), (fib_word(200), 3), (b"ab" * 40, 1)]:
+        text = load_text(raw)
+        built = build_index(text, t)
+        for ix in (built, load_index(dump_index(built))):
+            last = ix.tree.leaf_count - 1
+            at = {0: [], last: []}
+            for i in range(1, text.n + 1):
+                u = ix.nav.locate(i)
+                if u in at:
+                    at[u].append(i)
+            assert at[0] and at[last]
+            pairs = [(i, j) for pos in at.values() for i in pos for j in pos]
+            I = np.array([i for i, _ in pairs])
+            J = np.array([j for _, j in pairs])
+            got = short_lce_batch(ix, I, J)
+            want = [min(ix.lce(i, j), t) for i, j in pairs]
+            assert got.tolist() == want

@@ -113,3 +113,18 @@ def test_roundtrip_property(raw, data):
         i = data.draw(st.integers(1, text.n))
         j = data.draw(st.integers(1, text.n))
         assert ix2.lce(i, j) == ix.lce(i, j)
+
+
+def test_loaded_lca_matches_leaf_strings():
+    for raw, t, tp in [(FIG_W, 2, 2), (random_text(200, 3, seed=5), 6, 3),
+                       (fib_word(300), 8, 8)]:
+        text = load_text(raw)
+        tree = load_index(dump_index(build_index(text, t, tp))).tree
+        decoded = [tree.leaf_string(g) for g in range(tree.leaf_count)]
+        for a in range(tree.leaf_count):
+            for b in range(tree.leaf_count):
+                x, y = decoded[a], decoded[b]
+                k = 0
+                while k < min(len(x), len(y)) and x[k] == y[k]:
+                    k += 1
+                assert tree.lca_prefix_len(a, b) == k, (a, b)

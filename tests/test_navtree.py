@@ -8,7 +8,7 @@ from lcex.oracle import naive_lce
 from lcex.textstore import load_text
 from lcex.tst import build_tst
 
-from conftest import FIG_W, decode_syms
+from conftest import FIG_W, decode_syms, fib_word
 
 
 def make(raw, t, mode="lifting"):
@@ -153,3 +153,16 @@ def test_every_node_reaches_root():
             steps += 1
             assert steps <= nav.node_count
         assert steps == nav.depth[v]
+
+
+@pytest.mark.parametrize("t", [1, 2, 3, 5, 8])
+def test_capped_lifting_level_ancestor_exact(t):
+    for raw in (fib_word(120), bytes(random.Random(t).choice(b"abc") for _ in range(90))):
+        text, tree, nav = make(raw, t)
+        assert len(nav.lift) == max(1, (t - 1).bit_length())
+        for v in range(nav.node_count):
+            u = v
+            for d in range(nav.depth[v] + 1):
+                assert nav.level_ancestor(v, d) == u, (v, d)
+                if u != nav.root:
+                    u = nav.parent[u]

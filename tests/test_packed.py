@@ -7,10 +7,14 @@ from lcex.errors import OutOfRange
 from lcex.lce import build_index
 from lcex.oracle import naive_lce
 from lcex.packed import (bit_short_lce, build_packed, leading_equal_bits,
-                         pack, packed_lce, _MSB_TABLE)
+                         pack, packed_lce)
 from lcex.textstore import load_text
 
 from conftest import FIG_W, random_text
+
+
+# byte-table msb: index of the highest set bit of a byte
+_MSB_TABLE = [0] + [v.bit_length() - 1 for v in range(1, 256)]
 
 
 def naive_bit_lcp(pt, bi, bj):

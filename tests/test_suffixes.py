@@ -58,3 +58,13 @@ def test_sparse_min_batch():
     got = rmq.query_batch(lo, hi)
     want = np.array([vals[a : b + 1].min() for a, b in zip(lo, hi)])
     assert (got == want).all()
+
+
+def test_log2_table_around_powers_of_two():
+    from lcex.suffixes import log2_table
+
+    for n in sorted({max(1, (1 << p) + d) for p in range(0, 13) for d in (-1, 0, 1)}):
+        table = log2_table(n)
+        assert len(table) == n + 1
+        assert [int(table[x]) for x in range(1, n + 1)] == \
+            [x.bit_length() - 1 for x in range(1, n + 1)], n
