@@ -3,7 +3,12 @@
 
 Builds indexes for growing prefixes of the Fibonacci word (or a given file)
 at a fixed block length and times random queries; mean latency should stay
-flat while the input grows.
+flat while the input grows, and build time should grow linearly.
+--t-prime below --t and --packed exercise the chained-trie and packed build
+paths, e.g.:
+
+    python scripts/bench_scaling.py --sizes 50000 100000 200000 400000 \
+        --t 32 --t-prime 8 --packed --queries 2000
 """
 
 import argparse
@@ -27,6 +32,10 @@ def main() -> int:
     ap.add_argument("--sizes", type=int, nargs="+",
                     default=[10**4, 10**5, 10**6])
     ap.add_argument("--t", type=int, default=64)
+    ap.add_argument("--t-prime", type=int, default=None,
+                    help="trie block length t' <= t (default t)")
+    ap.add_argument("--packed", action="store_true",
+                    help="also build the packed bit-level section")
     ap.add_argument("--queries", type=int, default=50000)
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
@@ -38,7 +47,9 @@ def main() -> int:
             break
         text = lcex.load_text(base[:n])
         t0 = time.perf_counter()
-        ix = lcex.build_index(text, min(args.t, text.n // 2))
+        t = min(args.t, text.n // 2)
+        tp = None if args.t_prime is None else min(args.t_prime, t)
+        ix = lcex.build_index(text, t, tp, packed=args.packed)
         build_s = time.perf_counter() - t0
         rng = random.Random(args.seed)
         pairs = [(rng.randint(1, text.n), rng.randint(1, text.n))

@@ -4,76 +4,41 @@ result so one range-minimum answers floor(LCE/t)."""
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
 from .diffcover import CoverIndex
-from .navtree import NavTree, short_lce
 from .suffixes import SparseMin, inverse_permutation, lcp_array, suffix_array
 from .textstore import Text
-from .tst import TruncatedSuffixTree
 
 
-def rank_blocks(t: Text, tree: TruncatedSuffixTree, nav: NavTree,
-                cover: CoverIndex) -> np.ndarray:
+def rank_blocks(t: Text, cover: CoverIndex, t_prime: int) -> np.ndarray:
     """Lexicographic rank of each defined t-block, indexed by 1-based position.
 
-    The rank of the block at i is the rank of the depth-t ancestor of the
-    leaf located for i; positions whose block would overrun the text keep the
-    reserved rank 0.
+    Read off the text's suffix array: suffixes of length >= t in SA order
+    start a new t-gram wherever the LCP run-minimum since the previous one
+    is < t (an LCP interval).  With t' = t the ranks are dense over all
+    t-grams of the text, as the depth-t trie marks number them; with t' < t
+    they are dense over the defined cover positions.  Positions outside the
+    cover, or whose block would overrun the text, keep the reserved rank 0.
     """
-    if tree.tgram_rank is None or tree.tgram_depth != cover.t:
-        raise ValueError("trie lacks t-gram marks at the block length")
-    n = t.n
-    bt = cover.t
+    n, bt = t.n, cover.t
+    sa = t.suffix_array()
+    lcp = t.lcp_array()
+    keep = np.flatnonzero(sa <= n - bt)
+    # lcp_next[k] = lcp(sa[k], sa[k+1]); a segment's minimum spans the gap
+    # of short suffixes between two kept ones
+    lcp_next = np.append(lcp[1:], 0)
+    new = np.ones(len(keep), dtype=np.int64)
+    new[1:] = np.minimum.reduceat(lcp_next, keep)[:-1] < bt
+    full = np.zeros(n + 1, dtype=np.int64)
+    full[sa[keep] + 1] = np.cumsum(new)
+
+    defined = cover.defined_positions()
+    vals = full[defined]
+    if t_prime < bt:
+        vals = np.unique(vals, return_inverse=True)[1] + 1
     ranks = np.zeros(n + 1, dtype=np.int64)
-    tg = tree.tgram_rank
-    for i in cover.positions():
-        if i + bt - 1 <= n:
-            ranks[i] = tg[nav.locate(i)]
-    return ranks
-
-
-def rank_blocks_by_sort(t: Text, nav: NavTree, tree: TruncatedSuffixTree,
-                        cover: CoverIndex) -> np.ndarray:
-    """Comparison-sort route for block ranking when the trie is shallower
-    than the block length: blocks compare via chained capped-LCE calls with a
-    text read only at the first mismatch (build time still holds the text)."""
-    n = t.n
-    bt = cover.t
-    tp = nav.t
-    syms = t.symbols()
-
-    def chain(i: int, j: int) -> int:
-        total = 0
-        while total < bt:
-            r = short_lce(nav, tree, i + total, j + total)
-            total += r
-            if r < tp:
-                break
-        return min(total, bt)
-
-    def cmp(i: int, j: int) -> int:
-        if i == j:
-            return 0
-        l = chain(i, j)
-        if l >= bt:
-            return 0
-        a = syms[i - 1 + l] if i + l <= n else -1
-        b = syms[j - 1 + l] if j + l <= n else -1
-        return -1 if a < b else (1 if a > b else 0)
-
-    defined = [i for i in cover.positions() if i + bt - 1 <= n]
-    defined.sort(key=functools.cmp_to_key(cmp))
-    ranks = np.zeros(n + 1, dtype=np.int64)
-    rank = 0
-    prev = None
-    for i in defined:
-        if prev is None or cmp(prev, i) != 0:
-            rank += 1
-        ranks[i] = rank
-        prev = i
+    ranks[defined] = vals
     return ranks
 
 
@@ -156,17 +121,10 @@ def build_blockcode(ranks: np.ndarray, cover: CoverIndex) -> BlockCode:
     non-empty segment, smaller than every rank so no common prefix crosses a
     segment boundary.
     """
-    t, n = cover.t, cover.n
     code = np.empty(cover.code_len, dtype=np.int64)
-    sep = -1
-    for k in range(len(cover.residue_order)):
-        length = int(cover.seg_len[k])
-        if length == 0:
-            continue
-        first = int(cover.first_pos[k])
-        off = int(cover.seg_start[k])
-        idx = first + t * np.arange(length, dtype=np.int64)
-        code[off : off + length] = ranks[idx]
-        code[off + length] = sep
-        sep -= 1
-    return BlockCode(t=t, n=n, cover=cover, code=code)
+    ends = (cover.seg_start + cover.seg_len)[cover.seg_len > 0]
+    code[ends] = -np.arange(1, len(ends) + 1)
+    slots = np.ones(cover.code_len, dtype=bool)
+    slots[ends] = False
+    code[slots] = ranks[cover.defined_positions()]
+    return BlockCode(t=cover.t, n=cover.n, cover=cover, code=code)

@@ -133,6 +133,14 @@ class CoverIndex:
         idx = np.arange(1, self.n + 1)
         return idx[mask[idx % self.t]].tolist()
 
+    def defined_positions(self) -> np.ndarray:
+        """Cover positions whose t-block fits inside [1..n], segment by
+        segment in code(w) order."""
+        t = self.t
+        return np.concatenate([
+            int(first) + t * np.arange(int(length), dtype=np.int64)
+            for first, length in zip(self.first_pos, self.seg_len)])
+
 
 def build_cover_index(dc: DifferenceCover, n: int) -> CoverIndex:
     if n < 1:

@@ -19,7 +19,6 @@ from . import navtree as _nav
 from . import tst as _tst
 from .diffcover import build_cover_index, build_difference_cover
 from .errors import OutOfRange, ParamOutOfRange
-from .suffixes import lcp_array, suffix_array
 from .textstore import Text
 
 # Weight of one trie leaf against one cover entry in the tuning objective and
@@ -191,11 +190,7 @@ def build_index(t: Text, t_param: int, t_prime: int | None = None,
     tree = _tst.build_tst(t, 2 * tp)
     _tst.mark_tgram_nodes(tree, tp)
     nav = _nav.build_navtree(t, tree, tp, level_ancestor=level_ancestor)
-    if tp == t_param:
-        ranks = _bc.rank_blocks(t, tree, nav, cover)
-    else:
-        ranks = _bc.rank_blocks_by_sort(t, nav, tree, cover)
-    bc = _bc.build_blockcode(ranks, cover)
+    bc = _bc.build_blockcode(_bc.rank_blocks(t, cover, tp), cover)
     _tst.compact_reference(tree, t)
 
     pk = None
@@ -226,11 +221,10 @@ def lce(ix: LceIndex, i: int, j: int) -> int:
 
 
 def truncated_leaf_counts(t: Text) -> tuple[np.ndarray, np.ndarray]:
-    """One suffix-array pass enabling O(1) leaf-count probes for any depth:
-    the q-clipped distinct-suffix count is n minus the LCP entries >= q."""
-    sa = suffix_array(t.arr)
-    lcp = lcp_array(t.arr, sa)
-    return sa, lcp
+    """The text's one suffix-array pass, enabling O(1) leaf-count probes for
+    any depth: the q-clipped distinct-suffix count is n minus the LCP entries
+    >= q."""
+    return t.suffix_array(), t.lcp_array()
 
 
 def tune_tau(t: Text, budget: int = 64) -> int:

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .suffixes import SparseMin, lcp_array, suffix_array
+from .suffixes import SparseMin
 from .textstore import Text, substring
 
 
@@ -45,12 +45,11 @@ class LZFactorization:
         return out
 
 
-def longest_previous_factors(seq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """LPF and source arrays: for each 0-based i, the longest match length
-    starting at some src < i, and one such src (-1 when none)."""
-    n = len(seq)
-    sa = suffix_array(seq)
-    lcp = lcp_array(seq, sa)
+def longest_previous_factors(sa: np.ndarray, lcp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """LPF and source arrays from a sequence's suffix and LCP arrays: for
+    each 0-based i, the longest match length starting at some src < i, and
+    one such src (-1 when none)."""
+    n = len(sa)
     rmq = SparseMin(lcp)
 
     # Nearest SA neighbours that start earlier in the text, via monotonic stacks.
@@ -92,7 +91,7 @@ def longest_previous_factors(seq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def lz77_factorize(t: Text) -> LZFactorization:
     """Greedy leftmost factorization; the sentinel always ends as a literal."""
-    lpf, src = longest_previous_factors(t.arr)
+    lpf, src = longest_previous_factors(t.suffix_array(), t.lcp_array())
     factors = []
     syms = t.symbols()
     i = 0

@@ -50,12 +50,10 @@ def pack(t: Text, word_size: int = 64) -> PackedText:
         raise ValueError("word size must be in [1..64]")
     b = max(1, (t.sigma - 1).bit_length())
     nbits = t.n * b
-    acc = 0
-    for s in t.symbols():
-        acc = (acc << b) | s
-    pad_bits = (-nbits) % 8
-    acc <<= pad_bits
-    raw = acc.to_bytes((nbits + pad_bits) // 8, "big") + b"\x00" * _PAD
+    # bit planes, most significant first: row k holds symbol k's b bits
+    shifts = np.arange(b - 1, -1, -1, dtype=t.arr.dtype)
+    planes = ((t.arr[:, None] >> shifts) & 1).astype(np.uint8)
+    raw = np.packbits(planes).tobytes() + b"\x00" * _PAD
     return PackedText(bits=raw, b=b, n=t.n, word_size=word_size, nbits=nbits)
 
 
@@ -78,6 +76,18 @@ def bit_short_lce(pt: PackedText, bi: int, bj: int) -> int:
     return min(leading_equal_bits(x, w), cap)
 
 
+def _fetch_words(pt: PackedText, positions: np.ndarray, width: int) -> np.ndarray:
+    """``pt.fetch(p, width)`` for every 1-based bit position p, as uint64:
+    the width bits at p are the top of the 72-bit window of the 9 bytes from
+    p's byte on."""
+    byte0 = (positions - 1) >> 3
+    off = ((positions - 1) & 7).astype(np.uint64)
+    window = np.frombuffer(pt.bits, dtype=np.uint8)[byte0[:, None] + np.arange(9)]
+    hi = np.ascontiguousarray(window[:, :8]).view(">u8")[:, 0].astype(np.uint64)
+    lo = window[:, 8].astype(np.uint64)
+    return ((hi << off) | (lo >> (np.uint64(8) - off))) >> np.uint64(64 - width)
+
+
 def build_bit_blockcode(pt: PackedText) -> BlockCode:
     """Block code over the bit string with block length word_size.
 
@@ -87,12 +97,10 @@ def build_bit_blockcode(pt: PackedText) -> BlockCode:
     w = pt.word_size
     dc = build_difference_cover(w)
     cover = build_cover_index(dc, pt.nbits)
-    positions = [p for p in cover.positions() if p + w - 1 <= pt.nbits]
-    values = [pt.fetch(p, w) for p in positions]
-    order = {v: r + 1 for r, v in enumerate(sorted(set(values)))}
+    positions = cover.defined_positions()
+    words = _fetch_words(pt, positions, w)
     ranks = np.zeros(pt.nbits + 1, dtype=np.int64)
-    for p, v in zip(positions, values):
-        ranks[p] = order[v]
+    ranks[positions] = np.unique(words, return_inverse=True)[1] + 1
     return build_blockcode(ranks, cover)
 
 

@@ -6,6 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import suffixes
 from .errors import EmptyInput, OutOfRange, SentinelCollision
 
 DISPLAY_SENTINEL = ord("$")
@@ -27,6 +28,8 @@ class Text:
     sentinel: int
     remap: np.ndarray | None = None
     _symbols: list | None = field(default=None, repr=False, compare=False)
+    _sa: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _lcp: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
     def data(self) -> np.ndarray:
@@ -37,6 +40,19 @@ class Text:
         if self._symbols is None:
             self._symbols = self.arr.tolist()
         return self._symbols
+
+    def suffix_array(self) -> np.ndarray:
+        """Suffix array of the text (0-based starts; cached, sorted once)."""
+        if self._sa is None:
+            self._sa = suffixes.suffix_array(self.arr)
+        return self._sa
+
+    def lcp_array(self) -> np.ndarray:
+        """LCP array over ``suffix_array()``; lcp[k] is the common prefix of
+        the suffixes at sa[k-1] and sa[k], lcp[0] = 0 (cached)."""
+        if self._lcp is None:
+            self._lcp = suffixes.lcp_array(self.arr, self.suffix_array())
+        return self._lcp
 
     def symbol(self, i: int) -> int:
         if not 1 <= i <= self.n:

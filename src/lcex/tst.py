@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .suffixes import SparseMin, lcp_array, suffix_array
+from .suffixes import SparseMin
 from .textstore import Text
 
 
@@ -164,8 +164,8 @@ def build_tst(t: Text, q: int) -> TruncatedSuffixTree:
     if not 1 <= q <= t.n:
         raise ValueError(f"q={q} not in [1..{t.n}]")
     n = t.n
-    sa = suffix_array(t.arr)
-    lcp = lcp_array(t.arr, sa)
+    sa = t.suffix_array()
+    lcp = t.lcp_array()
 
     trunc_len = np.minimum(q, n - sa)
     is_new = np.empty(n, dtype=bool)

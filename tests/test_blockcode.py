@@ -4,23 +4,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lcex.blockcode import build_blockcode, rank_blocks, rank_blocks_by_sort
+from lcex.blockcode import build_blockcode, rank_blocks
 from lcex.diffcover import build_cover_index, build_difference_cover
-from lcex.navtree import build_navtree
 from lcex.oracle import naive_lce
 from lcex.textstore import load_text
-from lcex.tst import build_tst, mark_tgram_nodes
 
 from conftest import FIG_W
 
 
 def make(raw, t):
     text = load_text(raw)
-    tree = build_tst(text, 2 * t)
-    mark_tgram_nodes(tree, t)
-    nav = build_navtree(text, tree, t)
     cover = build_cover_index(build_difference_cover(t), text.n)
-    ranks = rank_blocks(text, tree, nav, cover)
+    ranks = rank_blocks(text, cover, t)
     bc = build_blockcode(ranks, cover)
     return text, bc, ranks, cover
 
@@ -43,11 +38,13 @@ def test_ranks_match_direct_sort():
 
 
 def test_boundary_positions_reserved():
-    text, bc, ranks, cover = make(FIG_W, 4)
-    for i in cover.positions():
-        if i + 3 > text.n:
-            assert ranks[i] == 0
-            assert bc.long_lce(i, 1 if cover.in_cover(1) else 2) in (0, None) or True
+    for raw in (FIG_W, b"abracadabra" * 7, b"ab" * 30):
+        for t in (2, 3, 4, 5):
+            text, bc, ranks, cover = make(raw, t)
+            for i in cover.positions():
+                if i + t - 1 > text.n:
+                    assert ranks[i] == 0
+                    assert bc.long_lce(i, 1 if cover.in_cover(1) else 2) == 0, (raw, t, i)
 
 
 def test_rank_order_isomorphism():
@@ -137,21 +134,46 @@ def test_no_cross_segment_match():
         assert bc.lcp[r] == 0
 
 
-def test_sorted_route_matches_tree_route():
-    raw = bytes(random.Random(4).choice(b"ab") for _ in range(160))
-    text = load_text(raw)
-    t, tp = 6, 2
-    tree = build_tst(text, 2 * tp)
-    mark_tgram_nodes(tree, tp)
-    nav = build_navtree(text, tree, tp)
-    cover = build_cover_index(build_difference_cover(t), text.n)
-    by_sort = rank_blocks_by_sort(text, nav, tree, cover)
+def brute_block_ranks(text, cover, t, dense_over_cover):
+    """Block ranks from a plain sort of the text's t-blocks: dense over every
+    t-gram of the text, or over the blocks at defined cover positions."""
+    s = text.symbols()
+    n = text.n
+    block = {i: tuple(s[i - 1 : i - 1 + t]) for i in range(1, n - t + 2)}
+    defined = [i for i in cover.positions() if i + t - 1 <= n]
+    pool = [block[i] for i in defined] if dense_over_cover else block.values()
+    order = sorted(set(pool))
+    ranks = np.zeros(n + 1, dtype=np.int64)
+    for i in defined:
+        ranks[i] = order.index(block[i]) + 1
+    return ranks
 
-    tree2 = build_tst(text, 2 * t)
-    mark_tgram_nodes(tree2, t)
-    nav2 = build_navtree(text, tree2, t)
-    by_tree = rank_blocks(text, tree2, nav2, cover)
-    assert (by_sort == by_tree).all()
+
+def check_rank_blocks(raw, t, tp):
+    text = load_text(raw)
+    cover = build_cover_index(build_difference_cover(t), text.n)
+    got = rank_blocks(text, cover, tp)
+    want = brute_block_ranks(text, cover, t, dense_over_cover=tp < t)
+    assert (got == want).all(), (raw, t, tp)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 3).flatmap(
+           lambda k: st.lists(st.integers(0, k), min_size=1, max_size=90)),
+       st.data())
+def test_rank_blocks_matches_sorted_blocks(syms, data):
+    raw = bytes(97 + c for c in syms)
+    t = data.draw(st.integers(1, len(raw) + 1))
+    check_rank_blocks(raw, t, t)
+    check_rank_blocks(raw, t, data.draw(st.integers(1, t)))
+
+
+@pytest.mark.parametrize("raw", [b"a" * 40, b"ab" * 8, b"abaab" * 3])
+def test_rank_blocks_unary_and_near_2t(raw):
+    n = len(raw) + 1
+    for t in (n // 2 - 1, n // 2, n // 2 + 1, n):
+        for tp in (1, t // 2 or 1, t):
+            check_rank_blocks(raw, t, tp)
 
 
 @settings(max_examples=20, deadline=None)

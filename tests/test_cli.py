@@ -1,9 +1,13 @@
 import csv
+import importlib
 import io
 import os
+import pkgutil
 
 import pytest
 
+import lcex
+from lcex import suffixes
 from lcex.cli import BENCH_COLUMNS, main
 
 from conftest import EXAMPLE_W, FIG_W, fib_word
@@ -150,3 +154,39 @@ def test_build_auto_tune_smaller_than_t1(tmp_path, capsys):
     assert "auto-tuned t=" in capsys.readouterr().out
     assert main(["build", str(corp), "--t", "1", "-o", flat]) == 0
     assert os.path.getsize(tuned) < os.path.getsize(flat)
+
+
+@pytest.fixture()
+def text_sorts(monkeypatch):
+    """Records the input length of every suffix-array call, in every lcex
+    module that holds the function."""
+    calls = []
+    real = suffixes.suffix_array
+
+    def counting(seq):
+        calls.append(len(seq))
+        return real(seq)
+
+    for info in pkgutil.iter_modules(lcex.__path__):
+        mod = importlib.import_module(f"lcex.{info.name}")
+        if getattr(mod, "suffix_array", None) is real:
+            monkeypatch.setattr(mod, "suffix_array", counting)
+    return calls
+
+
+def test_build_auto_tune_sorts_text_once(tmp_path, text_sorts):
+    raw = fib_word(3000)
+    corp = tmp_path / "fib.bin"
+    corp.write_bytes(raw)
+    assert main(["build", str(corp), "--auto-tune", "-o", str(tmp_path / "x.lcex")]) == 0
+    assert text_sorts.count(len(raw) + 1) == 1
+
+
+def test_bench_auto_tune_sorts_text_twice(tmp_path, text_sorts):
+    raw = fib_word(3000)
+    corp = tmp_path / "fib.bin"
+    corp.write_bytes(raw)
+    assert main(["bench", "--input", str(corp), "--auto-tune", "--queries", "200",
+                 "--csv", str(tmp_path / "b.csv")]) == 0
+    # one shared sort for tuning, build and LZ77; the oracle keeps its own
+    assert text_sorts.count(len(raw) + 1) == 2

@@ -1,13 +1,16 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from lcex.errors import OutOfRange
 from lcex.lce import build_index
 from lcex.oracle import naive_lce
-from lcex.packed import (bit_short_lce, build_packed, leading_equal_bits,
-                         pack, packed_lce)
+from lcex.blockcode import build_blockcode
+from lcex.diffcover import build_cover_index, build_difference_cover
+from lcex.packed import (_PAD, _fetch_words, bit_short_lce, build_bit_blockcode,
+                         build_packed, leading_equal_bits, pack, packed_lce)
 from lcex.textstore import load_text
 
 from conftest import FIG_W, random_text
@@ -15,6 +18,85 @@ from conftest import FIG_W, random_text
 
 # byte-table msb: index of the highest set bit of a byte
 _MSB_TABLE = [0] + [v.bit_length() - 1 for v in range(1, 256)]
+
+
+def bigint_pack_bits(text):
+    """Reference packing: one big integer shifted b bits per symbol, most
+    significant first, zero padded to whole bytes."""
+    b = max(1, (text.sigma - 1).bit_length())
+    acc = 0
+    for s in text.symbols():
+        acc = (acc << b) | s
+    nbits = text.n * b
+    pad_bits = (-nbits) % 8
+    acc <<= pad_bits
+    return acc.to_bytes((nbits + pad_bits) // 8, "big") + b"\x00" * _PAD
+
+
+def fetch_loop_blockcode(pt):
+    """Reference block code: one fetch per defined cover bit position, ranked
+    densely through a value -> rank dict."""
+    w = pt.word_size
+    cover = build_cover_index(build_difference_cover(w), pt.nbits)
+    positions = [p for p in cover.positions() if p + w - 1 <= pt.nbits]
+    values = [pt.fetch(p, w) for p in positions]
+    order = {v: r + 1 for r, v in enumerate(sorted(set(values)))}
+    ranks = np.zeros(pt.nbits + 1, dtype=np.int64)
+    for p, v in zip(positions, values):
+        ranks[p] = order[v]
+    return build_blockcode(ranks, cover)
+
+
+def _mix(distinct, extra, rnd):
+    syms = list(distinct) + extra
+    rnd.shuffle(syms)
+    return bytes(syms)
+
+
+def packable_texts(max_distinct):
+    """Texts of 1..max_distinct distinct raw bytes in random order with
+    repeats; 256 reaches sigma 257 with the sentinel, so b = 9 and a uint16
+    symbol array."""
+    return st.integers(1, max_distinct).flatmap(lambda k: st.tuples(
+        st.permutations(range(k)), st.lists(st.integers(0, k - 1), max_size=60),
+        st.randoms(use_true_random=False),
+    )).map(lambda args: _mix(*args))
+
+
+@settings(max_examples=80, deadline=None)
+@given(packable_texts(256), st.integers(1, 64))
+def test_pack_matches_bigint_reference(raw, ws):
+    text = load_text(raw)
+    pt = pack(text, word_size=ws)
+    assert pt.b == max(1, (text.sigma - 1).bit_length())
+    assert (pt.nbits, pt.word_size, pt.n) == (text.n * pt.b, ws, text.n)
+    assert pt.bits == bigint_pack_bits(text)
+
+
+def test_pack_reference_covers_wide_and_unaligned():
+    text = load_text(bytes(range(256)) + b"\x07")
+    assert text.arr.dtype == np.uint16 and text.sigma == 257
+    pt = pack(text)
+    assert pt.b == 9 and pt.nbits % 8 != 0
+    assert pt.bits == bigint_pack_bits(text)
+
+
+@settings(max_examples=40, deadline=None)
+@given(packable_texts(64), st.integers(1, 64))
+def test_bit_blockcode_matches_fetch_loop(raw, ws):
+    pt = pack(load_text(raw), word_size=ws)
+    got, want = build_bit_blockcode(pt), fetch_loop_blockcode(pt)
+    assert got.code.tolist() == want.code.tolist()
+
+
+@settings(max_examples=60, deadline=None)
+@given(packable_texts(256), st.integers(1, 64), st.data())
+def test_fetch_words_matches_fetch(raw, width, data):
+    pt = pack(load_text(raw))
+    last = max(1, pt.nbits - width + 1)
+    ps = data.draw(st.lists(st.integers(1, last), min_size=1, max_size=40))
+    got = _fetch_words(pt, np.asarray(ps, dtype=np.int64), width)
+    assert got.tolist() == [pt.fetch(p, width) for p in ps]
 
 
 def naive_bit_lcp(pt, bi, bj):
