@@ -18,7 +18,7 @@ from .navtree import NavTree, build_navtree, short_lce
 from .oracle import IsaOracle, naive_lce
 from .packed import PackedLce, PackedText, bit_short_lce, build_packed, pack, packed_lce
 from .textstore import Text, load_file, load_text, substring
-from .tst import TruncatedSuffixTree, build_tst, compact_reference, mark_tgram_nodes
+from .tst import TruncatedSuffixTree, build_tst, compact_reference
 
 __version__ = "0.1.0"
 
@@ -31,7 +31,7 @@ __all__ = [
     "build_difference_cover", "build_index", "build_navtree", "build_packed",
     "build_tst", "compact_reference", "dump_index", "lce", "lce_batch",
     "load_file", "load_index", "load_index_file", "load_text",
-    "lz77_factorize", "mark_tgram_nodes", "naive_lce", "pack", "packed_lce",
+    "lz77_factorize", "naive_lce", "pack", "packed_lce",
     "rank_blocks", "save_index", "short_lce", "short_lce_batch", "substring",
     "tune_tau",
 ]

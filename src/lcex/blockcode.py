@@ -17,9 +17,9 @@ def rank_blocks(t: Text, cover: CoverIndex, t_prime: int) -> np.ndarray:
     Read off the text's suffix array: suffixes of length >= t in SA order
     start a new t-gram wherever the LCP run-minimum since the previous one
     is < t (an LCP interval).  With t' = t the ranks are dense over all
-    t-grams of the text, as the depth-t trie marks number them; with t' < t
-    they are dense over the defined cover positions.  Positions outside the
-    cover, or whose block would overrun the text, keep the reserved rank 0.
+    t-grams of the text; with t' < t they are dense over the defined cover
+    positions.  Positions outside the cover, or whose block would overrun
+    the text, keep the reserved rank 0.
     """
     n, bt = t.n, cover.t
     sa = t.suffix_array()
@@ -43,37 +43,21 @@ def rank_blocks(t: Text, cover: CoverIndex, t_prime: int) -> np.ndarray:
 
 
 class BlockCode:
-    """code(w) plus its suffix-array stack; answers floor(LCE/t) for cover
-    positions in O(1)."""
+    """The suffix-array stack of code(w): ``isa`` and the RMQ over ``lcp``
+    answer floor(LCE/t) for cover positions in O(1)."""
 
-    def __init__(self, t: int, n: int, cover: CoverIndex, code: np.ndarray):
-        self.t = t
-        self.n = n
+    def __init__(self, cover: CoverIndex, isa: np.ndarray, lcp: np.ndarray):
+        self.t = cover.t
+        self.n = cover.n
         self.cover = cover
-        self.code = code
-        if len(code):
-            self.sa = suffix_array(code)
-            self.isa = inverse_permutation(self.sa)
-            self.lcp = lcp_array(code, self.sa)
-            self.rmq = SparseMin(self.lcp)
-        else:
-            self.sa = np.empty(0, dtype=np.int64)
-            self.isa = np.empty(0, dtype=np.int64)
-            self.lcp = np.empty(0, dtype=np.int64)
-            self.rmq = None
-        self._isa_list = self.isa.tolist()
-        self._code_list = code.tolist()
+        self.isa = isa
+        self.lcp = lcp
+        self.rmq = SparseMin(lcp)
+        self._isa_list = isa.tolist()
 
     @property
     def code_len(self) -> int:
-        return len(self.code)
-
-    def posmap(self, i: int) -> int:
-        """0-based index of block i inside code(w)."""
-        return self.cover.pos_in_code(i)
-
-    def rank_at(self, i: int) -> int:
-        return self._code_list[self.posmap(i)]
+        return len(self.isa)
 
     def long_lce(self, i: int, j: int):
         """floor(LCE(i, j) / t) for cover positions; None when either position
@@ -114,8 +98,8 @@ class BlockCode:
         return self.rmq.query_batch(lo + 1, hi).astype(np.int64)
 
 
-def build_blockcode(ranks: np.ndarray, cover: CoverIndex) -> BlockCode:
-    """Assemble code(w) segment by segment in ascending residue order.
+def assemble_code(ranks: np.ndarray, cover: CoverIndex) -> np.ndarray:
+    """code(w): the block ranks segment by segment in ascending residue order.
 
     Separators are the distinct values -1, -2, ... appended after each
     non-empty segment, smaller than every rank so no common prefix crosses a
@@ -127,4 +111,11 @@ def build_blockcode(ranks: np.ndarray, cover: CoverIndex) -> BlockCode:
     slots = np.ones(cover.code_len, dtype=bool)
     slots[ends] = False
     code[slots] = ranks[cover.defined_positions()]
-    return BlockCode(t=cover.t, n=cover.n, cover=cover, code=code)
+    return code
+
+
+def build_blockcode(ranks: np.ndarray, cover: CoverIndex) -> BlockCode:
+    """Sort the suffixes of code(w); only their inverse and LCP are kept."""
+    code = assemble_code(ranks, cover)
+    sa = suffix_array(code)
+    return BlockCode(cover, inverse_permutation(sa), lcp_array(code, sa))

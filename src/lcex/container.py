@@ -1,13 +1,26 @@
 """Versioned binary container for a built index.
 
-Layout: magic "LCEX", version u16, flags u16, then length-prefixed sections
-in fixed order (params, tst, navtree, blockcode, stats, and a packed section
-when flag bit 0 is set).  All integers are fixed-width little-endian.  Arrays
-carry a dtype tag chosen deterministically from their value range, so
-serialize(load(b)) reproduces b byte for byte.  Load rebuilds only what a
-query reads: two sparse tables (over the trie's leaf LCPs and the block
-code's LCPs) and a navigation lifting table of max(1, ceil(log2 t'))
-levels.  Trie child maps are built only on demand.
+Layout (version 2): magic "LCEX", version u16, flags u16, then
+length-prefixed sections in fixed order, holding only what a query or the
+edge-label decoder reads:
+
+- params: n, t, t', sigma, sentinel;
+- tst: q, n, then parent, sdepth, estart, elen, leaves, leaf_lcp and the
+  reference string;
+- navtree: t', n, parent (the root is its own parent), root, sampled;
+- blockcode: t, n, and the isa and lcp of code(w) (neither code(w) nor its
+  suffix array);
+- stats: the SpaceStats fields;
+- packed, when flag bit 0 is set: the packed text, then its bit block code
+  laid out as in blockcode.
+
+All integers are fixed-width little-endian.  Arrays carry a dtype tag
+chosen deterministically from their value range, so serialize(load(b))
+reproduces b byte for byte; bytes after the last field of a section or
+after the last section are a format error.  Load keeps the node arrays as
+numpy arrays and rebuilds only two sparse tables (over the trie's leaf LCPs
+and the block code's LCPs) and a navigation lifting table of
+max(1, ceil(log2 t')) levels.  Trie child maps are built only on demand.
 """
 
 from __future__ import annotations
@@ -18,10 +31,9 @@ import struct
 import numpy as np
 
 from .errors import FormatError
-from .suffixes import SparseMin
 
 MAGIC = b"LCEX"
-VERSION = 1
+VERSION = 2
 FLAG_PACKED = 1
 
 _DTYPES = {
@@ -81,6 +93,14 @@ class _Reader:
     def u64(self): return struct.unpack("<Q", self._read(8))[0]
     def i64(self): return struct.unpack("<q", self._read(8))[0]
 
+    def section(self) -> "_Reader":
+        """The next length-prefixed section, as a reader of its own."""
+        return _Reader(self._read(self.u64()))
+
+    def end(self) -> None:
+        if self.buf.read(1):
+            raise FormatError("trailing bytes after the last field")
+
     def array(self) -> np.ndarray:
         code = self.u8()
         if code not in _DTYPES:
@@ -99,8 +119,6 @@ def _section(parts: _Writer) -> bytes:
 def _write_blockcode_payload(w: _Writer, bc) -> None:
     w.u64(bc.t)
     w.u64(bc.n)
-    w.array(bc.code)
-    w.array(bc.sa)
     w.array(bc.isa)
     w.array(bc.lcp)
 
@@ -111,18 +129,12 @@ def _read_blockcode(r: _Reader):
 
     t = r.u64()
     n = r.u64()
-    code = r.array().astype(np.int64)
-    sa = r.array().astype(np.int64)
     isa = r.array().astype(np.int64)
-    lcp = r.array().astype(np.int64)
+    lcp = r.array()
     cover = build_cover_index(build_difference_cover(t), n)
-    bc = BlockCode.__new__(BlockCode)
-    bc.t, bc.n, bc.cover, bc.code = t, n, cover, code
-    bc.sa, bc.isa, bc.lcp = sa, isa, lcp
-    bc.rmq = SparseMin(lcp) if len(code) else None
-    bc._isa_list = isa.tolist()
-    bc._code_list = code.tolist()
-    return bc
+    if not len(isa) == len(lcp) == cover.code_len:
+        raise FormatError("block code length does not match its cover")
+    return BlockCode(cover, isa, lcp)
 
 
 def dump_index(ix) -> bytes:
@@ -133,36 +145,24 @@ def dump_index(ix) -> bytes:
     out.write(struct.pack("<HH", VERSION, flags))
 
     w = _Writer()
-    w.u64(ix.n)
-    w.u64(ix.t)
-    w.u64(ix.t_prime)
-    w.u64(ix.sigma)
-    w.u64(ix.sentinel)
-    w.u8(1 if ix.nav.mode == "ladder" else 0)
+    for v in (ix.n, ix.t, ix.t_prime, ix.sigma, ix.sentinel):
+        w.u64(v)
     out.write(_section(w))
 
     tree = ix.tree
     w = _Writer()
     w.u64(tree.q)
     w.u64(tree.n)
-    w.array(tree.parent)
-    w.array(tree.sdepth)
-    w.array(tree.estart)
-    w.array(tree.elen)
-    w.array(tree.leaves)
-    w.array(tree.leaf_lcp)
-    w.array(tree.tgram_rank if tree.tgram_rank is not None else [])
-    w.i64(tree.tgram_depth if tree.tgram_depth is not None else -1)
-    w.u64(tree.tgram_count)
-    w.u64(tree.inserted_nodes)
-    w.array(tree.ref)
+    for arr in (tree.parent, tree.sdepth, tree.estart, tree.elen, tree.leaves,
+                tree.leaf_lcp, tree.ref):
+        w.array(arr)
     out.write(_section(w))
 
     nav = ix.nav
     w = _Writer()
     w.u64(nav.t)
     w.u64(nav.n)
-    w.array([p if p >= 0 else nav.root for p in nav.parent])
+    w.array(nav.parent)
     w.u64(nav.root)
     w.array(nav.sampled)
     out.write(_section(w))
@@ -204,60 +204,38 @@ def load_index(data: bytes):
 
     if data[:4] != MAGIC:
         raise FormatError("bad magic")
+    if len(data) < 8:
+        raise FormatError("truncated container")
     version, flags = struct.unpack("<HH", data[4:8])
     if version != VERSION:
         raise FormatError(f"unsupported version {version}")
-    cursor = io.BytesIO(data[8:])
+    body = _Reader(data[8:])
 
-    def section() -> _Reader:
-        hdr = cursor.read(8)
-        if len(hdr) != 8:
-            raise FormatError("missing section")
-        (length,) = struct.unpack("<Q", hdr)
-        return _Reader(cursor.read(length))
+    r = body.section()
+    n, t, t_prime, sigma, sentinel = (r.u64() for _ in range(5))
+    r.end()
 
-    r = section()
-    n = r.u64()
-    t = r.u64()
-    t_prime = r.u64()
-    sigma = r.u64()
-    sentinel = r.u64()
-    mode = "ladder" if r.u8() else "lifting"
+    r = body.section()
+    q, tree_n = r.u64(), r.u64()
+    parent, sdepth, estart, elen, leaves, leaf_lcp, ref = (r.array() for _ in range(7))
+    r.end()
+    tree = TruncatedSuffixTree(q=q, n=tree_n, parent=parent, sdepth=sdepth.tolist(),
+                               estart=estart, elen=elen, leaves=leaves.tolist(),
+                               leaf_lcp=leaf_lcp, ref=ref)
 
-    r = section()
-    tree = TruncatedSuffixTree(q=r.u64(), n=r.u64())
-    tree.parent = r.array().astype(np.int64).tolist()
-    tree.parent[0] = -1
-    tree.sdepth = r.array().astype(np.int64).tolist()
-    tree.estart = r.array().astype(np.int64).tolist()
-    tree.elen = r.array().astype(np.int64).tolist()
-    tree.leaves = r.array().astype(np.int64).tolist()
-    leaf_lcp = r.array()
-    tree.leaf_lcp = leaf_lcp.astype(np.int64).tolist()
-    tree.tour_sparse = SparseMin(leaf_lcp)
-    tg = r.array().astype(np.int64).tolist()
-    tgd = r.i64()
-    tree.tgram_rank = tg if tg else None
-    tree.tgram_depth = tgd if tgd >= 0 else None
-    tree.tgram_count = r.u64()
-    tree.inserted_nodes = r.u64()
-    tree.ref = r.array()
-    tree.ref_is_private = True
-
-    r = section()
-    nav_t = r.u64()
-    nav_n = r.u64()
-    parent = r.array().astype(np.int64).tolist()
+    r = body.section()
+    nav_t, nav_n = r.u64(), r.u64()
+    parent = r.array()
     root = r.u64()
-    parent[root] = -1
-    sampled = r.array().astype(np.int64).tolist()
-    nav = NavTree(t=nav_t, n=nav_n, parent=parent, root=root, sampled=sampled,
-                  level_ancestor=mode)
+    sampled = r.array()
+    r.end()
+    nav = NavTree(t=nav_t, n=nav_n, parent=parent, root=root, sampled=sampled.tolist())
 
-    r = section()
+    r = body.section()
     bc = _read_blockcode(r)
+    r.end()
 
-    r = section()
+    r = body.section()
     vals = [r.u64() for _ in range(6)]
     z = r.i64()
     stats = SpaceStats(
@@ -265,20 +243,23 @@ def load_index(data: bytes):
         sampled_count=vals[3], code_len=vals[4], estimated_words=vals[5],
         z=None if z < 0 else z, n=r.u64(), t=r.u64(), t_prime=r.u64(),
     )
+    r.end()
 
     packed_obj = None
     if flags & FLAG_PACKED:
         from .packed import PackedLce, PackedText
 
-        r = section()
+        r = body.section()
         pn = r.u64()
         b = r.u64()
         word = r.u64()
         nbits = r.u64()
         bits = r.array().tobytes()
         pbc = _read_blockcode(r)
+        r.end()
         pt = PackedText(bits=bits, b=b, n=pn, word_size=word, nbits=nbits)
         packed_obj = PackedLce(pt=pt, bc=pbc)
+    body.end()
 
     return LceIndex(n=n, t=t, t_prime=t_prime, sigma=sigma, sentinel=sentinel,
                     tree=tree, nav=nav, bc=bc, stats=stats, packed=packed_obj)

@@ -72,9 +72,6 @@ class LceIndex:
         self.bc = bc
         self.stats = stats
         self.packed = packed
-        # bound-method caches for the query hot path
-        self._h = bc.cover.dc.h
-        self._long = bc.long_lce
 
     # -- queries ------------------------------------------------------------
 
@@ -175,8 +172,7 @@ class LceIndex:
 
 
 def build_index(t: Text, t_param: int, t_prime: int | None = None,
-                packed: bool = False, level_ancestor: str = "lifting",
-                z: int | None = None) -> LceIndex:
+                packed: bool = False, z: int | None = None) -> LceIndex:
     """Build every component at block length t_param (trie depth 2*t'),
     then drop all references to the text."""
     n = t.n
@@ -188,8 +184,7 @@ def build_index(t: Text, t_param: int, t_prime: int | None = None,
     dc = build_difference_cover(t_param)
     cover = build_cover_index(dc, n)
     tree = _tst.build_tst(t, 2 * tp)
-    _tst.mark_tgram_nodes(tree, tp)
-    nav = _nav.build_navtree(t, tree, tp, level_ancestor=level_ancestor)
+    nav = _nav.build_navtree(t, tree, tp)
     bc = _bc.build_blockcode(_bc.rank_blocks(t, cover, tp), cover)
     _tst.compact_reference(tree, t)
 

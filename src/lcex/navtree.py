@@ -17,32 +17,26 @@ from .tst import TruncatedSuffixTree
 
 
 class NavTree:
-    """Parent links over trie leaves plus level-ancestor and sampled pointers.
+    """Parent links over trie leaves plus a lifting table and sampled pointers.
 
-    ``locate`` climbs fewer than t levels, so the lifting table stops at the
-    jump 2^(L-1) with L = max(1, bit_length(t-1)); ``level_ancestor`` takes
-    repeated top-level jumps for the bits above it.
+    ``parent`` maps the root to itself.  ``locate`` climbs fewer than t
+    levels, so the lifting table stops at the jump 2^(L-1) with
+    L = max(1, bit_length(t-1)); ``level_ancestor`` takes repeated top-level
+    jumps for the bits above it.
     """
 
-    def __init__(self, t: int, n: int, parent: list[int], root: int,
-                 sampled: list[int], level_ancestor: str = "lifting"):
+    def __init__(self, t: int, n: int, parent: np.ndarray, root: int,
+                 sampled: list[int]):
         self.t = t
         self.n = n
         self.parent = parent
         self.root = root
         self.sampled = sampled
-        self.mode = level_ancestor
         self._depth: list[int] | None = None
         # lift_np[k][v] is the 2^k-th ancestor of v (the root maps to itself);
         # the scalar path reads zero-copy memoryviews of its rows
         self.lift_np = self._build_lifting()
-        self.lift = [memoryview(row) for row in self.lift_np]
-        self.ladder_of: list[tuple[int, int]] | None = None
-        self.ladders: list[list[int]] | None = None
-        if level_ancestor == "ladder":
-            self._build_ladders()
-        elif level_ancestor != "lifting":
-            raise ValueError(f"unknown level-ancestor mode {level_ancestor!r}")
+        self.lift = tuple(memoryview(row) for row in self.lift_np)
         # numpy mirror for the batch query path
         self.sampled_np = np.asarray(sampled, dtype=np.int64)
 
@@ -58,16 +52,17 @@ class NavTree:
         return self._depth
 
     def _compute_depths(self) -> list[int]:
-        depth = [-1] * len(self.parent)
+        parent = self.parent.tolist()
+        depth = [-1] * len(parent)
         depth[self.root] = 0
-        for v in range(len(self.parent)):
+        for v in range(len(parent)):
             if depth[v] >= 0:
                 continue
             path = []
             u = v
             while depth[u] < 0:
                 path.append(u)
-                u = self.parent[u]
+                u = parent[u]
             d = depth[u]
             for w in reversed(path):
                 d += 1
@@ -78,53 +73,9 @@ class NavTree:
         levels = max(1, (self.t - 1).bit_length())
         up = np.empty((levels, len(self.parent)), dtype=np.int64)
         up[0] = self.parent
-        up[0, self.root] = self.root
         for k in range(1, levels):
             up[k] = up[k - 1][up[k - 1]]
         return up
-
-    def _build_ladders(self) -> None:
-        """Long-path decomposition, each path doubled upward; with the jump
-        table this answers level-ancestor queries in O(1)."""
-        n_nodes = len(self.parent)
-        children: list[list[int]] = [[] for _ in range(n_nodes)]
-        for v in range(n_nodes):
-            if v != self.root:
-                children[self.parent[v]].append(v)
-        height = [0] * n_nodes
-        order = sorted(range(n_nodes), key=self.depth.__getitem__, reverse=True)
-        heavy = [-1] * n_nodes
-        for v in order:
-            for c in children[v]:
-                if height[c] + 1 > height[v]:
-                    height[v] = height[c] + 1
-                    heavy[v] = c
-        self.ladders = []
-        self.ladder_of = [(-1, -1)] * n_nodes
-        for v in order[::-1]:   # top-down
-            if self.ladder_of[v][0] >= 0:
-                continue
-            path = []
-            u = v
-            while u >= 0:
-                path.append(u)
-                u = heavy[u]
-            # extend upward by the path's own length
-            top = self.parent[v] if v != self.root else -1
-            ext = []
-            u = top
-            while u >= 0 and len(ext) < len(path):
-                ext.append(u)
-                u = self.parent[u] if u != self.root else -1
-                if ext and ext[-1] == self.root:
-                    break
-            ladder = list(reversed(ext)) + path
-            lid = len(self.ladders)
-            self.ladders.append(ladder)
-            base = len(ext)
-            for k, u2 in enumerate(path):
-                if self.ladder_of[u2][0] < 0:
-                    self.ladder_of[u2] = (lid, base + k)
 
     def level_ancestor(self, v: int, d: int) -> int:
         """The d-th ancestor of v; d must not exceed depth(v)."""
@@ -133,16 +84,6 @@ class NavTree:
         while d >> top > 1:   # d >= 2^(top+1): above the table
             v = lift[top][v]
             d -= 1 << top
-        if d == 0:
-            return v
-        if self.mode == "ladder":
-            k = d.bit_length() - 1
-            v = lift[k][v]
-            d -= 1 << k
-            if d == 0:
-                return v
-            lid, idx = self.ladder_of[v]
-            return self.ladders[lid][idx - d]
         k = 0
         while d:
             if d & 1:
@@ -156,8 +97,6 @@ class NavTree:
         t = self.t
         k = (i - 1) // t
         d = i - 1 - k * t
-        if self.ladders is not None:
-            return self.level_ancestor(self.sampled[k], d)
         v = self.sampled[k]
         lift = self.lift
         b = 0
@@ -169,8 +108,7 @@ class NavTree:
         return v
 
 
-def build_navtree(t: Text, tree: TruncatedSuffixTree, blk: int,
-                  level_ancestor: str = "lifting") -> NavTree:
+def build_navtree(t: Text, tree: TruncatedSuffixTree, blk: int) -> NavTree:
     """Spanning tree over the 2*blk-gram graph, built by one right-to-left scan.
 
     parent(node at i) = node at i+1, assigned at the rightmost occurrence;
@@ -183,15 +121,16 @@ def build_navtree(t: Text, tree: TruncatedSuffixTree, blk: int,
         raise ValueError("trie is missing its transient position map")
     n = t.n
     lop = tree.leaf_of_pos.tolist()
-    parent = [-1] * tree.leaf_count
     root = lop[n - 1]
+    parent = [-1] * tree.leaf_count
+    parent[root] = root
     for i in range(n - 2, -1, -1):
         u = lop[i]
-        if parent[u] < 0 and u != root:
+        if parent[u] < 0:
             parent[u] = lop[i + 1]
     sampled = [lop[k] for k in range(0, n, blk)]
-    return NavTree(t=blk, n=n, parent=parent, root=root, sampled=sampled,
-                   level_ancestor=level_ancestor)
+    return NavTree(t=blk, n=n, parent=np.asarray(parent, dtype=np.int64), root=root,
+                   sampled=sampled)
 
 
 def short_lce(nav: NavTree, tree: TruncatedSuffixTree, i: int, j: int) -> int:

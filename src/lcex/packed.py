@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blockcode import BlockCode, build_blockcode
-from .diffcover import build_cover_index, build_difference_cover
+from .diffcover import CoverIndex, build_cover_index, build_difference_cover
 from .errors import OutOfRange
 from .textstore import Text
 
@@ -88,8 +88,8 @@ def _fetch_words(pt: PackedText, positions: np.ndarray, width: int) -> np.ndarra
     return ((hi << off) | (lo >> (np.uint64(8) - off))) >> np.uint64(64 - width)
 
 
-def build_bit_blockcode(pt: PackedText) -> BlockCode:
-    """Block code over the bit string with block length word_size.
+def bit_block_ranks(pt: PackedText) -> tuple[np.ndarray, CoverIndex]:
+    """Ranks of the word_size-bit blocks at defined cover bit positions.
 
     A block's word value is its lexicographic key; dense-ranking the values
     yields exactly the rank sequence the block code needs.
@@ -101,7 +101,12 @@ def build_bit_blockcode(pt: PackedText) -> BlockCode:
     words = _fetch_words(pt, positions, w)
     ranks = np.zeros(pt.nbits + 1, dtype=np.int64)
     ranks[positions] = np.unique(words, return_inverse=True)[1] + 1
-    return build_blockcode(ranks, cover)
+    return ranks, cover
+
+
+def build_bit_blockcode(pt: PackedText) -> BlockCode:
+    """Block code over the bit string with block length word_size."""
+    return build_blockcode(*bit_block_ranks(pt))
 
 
 def _capped(pt: PackedText, bi: int, bj: int) -> int:

@@ -17,34 +17,31 @@ from .textstore import Text
 class TruncatedSuffixTree:
     """Compacted trie over the q-clipped suffixes of a text.
 
-    Nodes are parallel arrays (parent, string depth, edge window into
-    ``ref``); ``leaves`` lists leaf node ids in lexicographic order.  After
-    ``compact_reference`` the edge windows point into a private reference
-    string and the original text is no longer needed.  Child maps are built
-    on first access; queries never read them.
+    Nodes are parallel arrays: ``parent`` (-1 at the root) and the edge
+    window ``estart``/``elen`` into ``ref`` are numpy arrays; ``sdepth`` is a
+    list, read with ``leaves`` (leaf node ids in lexicographic order) by the
+    scalar query path.  ``leaf_lcp[g]`` is the lcp of leaves g-1 and g, with
+    ``leaf_lcp[0] = 0``.  After ``compact_reference`` the edge windows point
+    into a private reference string and the original text is no longer
+    needed.  Child maps are built on first access; queries never read them.
     """
 
-    def __init__(self, q: int, n: int):
+    def __init__(self, q: int, n: int, parent: np.ndarray, sdepth: list[int],
+                 estart: np.ndarray, elen: np.ndarray, leaves: list[int],
+                 leaf_lcp: np.ndarray, ref: np.ndarray):
         self.q = q
         self.n = n
-        self.parent: list[int] = []
-        self.sdepth: list[int] = []
-        self.estart: list[int] = []
-        self.elen: list[int] = []
-        self.node_repr: list[int] = []   # build only: leftmost occurrence of str(node), 0-based
-        self._children: list[dict | None] | None = None
-        self.leaves: list[int] = []
-        self.leaf_lcp: list[int] = []    # lcp of adjacent leaf strings, [0] = 0
-        self.ref: np.ndarray | None = None
-        self.ref_is_private = False
-        # per-leaf rank of the depth-t ancestor, 0 reserved for short leaves
-        self.tgram_rank: list[int] | None = None
-        self.tgram_depth: int | None = None
-        self.tgram_count: int = 0
-        self.inserted_nodes: int = 0
+        self.parent = parent
+        self.sdepth = sdepth
+        self.estart = estart
+        self.elen = elen
+        self.leaves = leaves
+        self.leaf_lcp = leaf_lcp
+        self.ref = ref
         # range minimum over leaf_lcp: the LCA depth of two leaves (the name
         # predates it; perfbench/worker.py reads the attribute)
-        self.tour_sparse: SparseMin | None = None
+        self.tour_sparse = SparseMin(leaf_lcp)
+        self._children: list[dict | None] | None = None
         # transient: position -> leaf rank, dropped once dependents are built
         self.leaf_of_pos: np.ndarray | None = None
 
@@ -58,38 +55,31 @@ class TruncatedSuffixTree:
     def leaf_count(self) -> int:
         return len(self.leaves)
 
-    def _new_node(self, parent: int, sdepth: int, repr_pos: int) -> int:
-        nid = len(self.parent)
-        self.parent.append(parent)
-        self.sdepth.append(sdepth)
-        self.estart.append(0)
-        self.elen.append(0)
-        self.node_repr.append(repr_pos)
-        return nid
-
     @property
     def children(self) -> list[dict | None]:
         """Per node, its children keyed by first edge symbol (None for leaves)."""
         if self._children is None:
             kids: list[dict | None] = [None] * self.node_count
-            first = self.ref[np.asarray(self.estart[1:], dtype=np.int64)].tolist()
-            parent = self.parent
-            for v, sym in enumerate(first, 1):
-                c = kids[parent[v]]
+            first = self.ref[self.estart[1:]].tolist()
+            for v, (p, sym) in enumerate(zip(self.parent[1:].tolist(), first), 1):
+                c = kids[p]
                 if c is None:
-                    c = kids[parent[v]] = {}
+                    c = kids[p] = {}
                 c[sym] = v
             self._children = kids
         return self._children
+
+    def _label(self, v: int) -> np.ndarray:
+        s = int(self.estart[v])
+        return self.ref[s : s + int(self.elen[v])]
 
     def node_string(self, node: int) -> list[int]:
         """Decode str(node) by walking edge windows up to the root."""
         parts = []
         v = node
         while v != 0:
-            s, l = self.estart[v], self.elen[v]
-            parts.append(self.ref[s : s + l])
-            v = self.parent[v]
+            parts.append(self._label(v))
+            v = int(self.parent[v])
         parts.reverse()
         if not parts:
             return []
@@ -117,8 +107,7 @@ class TruncatedSuffixTree:
             nxt = c.get(symbols[pos])
             if nxt is None:
                 return None
-            s, l = self.estart[nxt], self.elen[nxt]
-            lab = self.ref[s : s + l].tolist()
+            lab = self._label(nxt).tolist()
             take = len(symbols) - pos
             if take < len(lab):
                 return None
@@ -140,20 +129,6 @@ class TruncatedSuffixTree:
             leaf_a, leaf_b = leaf_b, leaf_a
         return self.tour_sparse.query(leaf_a + 1, leaf_b)
 
-    # -- construction passes ---------------------------------------------------
-
-    def _finalize_edges(self) -> None:
-        """Derive edge windows from node_repr and depths."""
-        order = sorted(range(1, self.node_count), key=self.sdepth.__getitem__, reverse=True)
-        for v in order:
-            p = self.parent[v]
-            if self.node_repr[v] < self.node_repr[p]:
-                self.node_repr[p] = self.node_repr[v]
-        for v in range(1, self.node_count):
-            p = self.parent[v]
-            self.estart[v] = self.node_repr[v] + self.sdepth[p]
-            self.elen[v] = self.sdepth[v] - self.sdepth[p]
-
 
 def build_tst(t: Text, q: int) -> TruncatedSuffixTree:
     """Build the q-truncated suffix tree with lex-sorted leaves and O(1) LCA
@@ -172,47 +147,57 @@ def build_tst(t: Text, q: int) -> TruncatedSuffixTree:
     is_new[0] = True
     is_new[1:] = lcp[1:] < q
     group = np.cumsum(is_new) - 1
-    m = int(group[-1]) + 1
     starts = np.flatnonzero(is_new)
 
-    leaf_len = trunc_len[starts]
     leaf_lcp = np.minimum(lcp[starts], q)
     leaf_lcp[0] = 0
-    leaf_repr = np.minimum.reduceat(sa, starts)
 
-    tree = TruncatedSuffixTree(q=q, n=n)
-    tree.ref = t.arr
-    root = tree._new_node(parent=-1, sdepth=0, repr_pos=int(sa[0]))
-    tree.leaf_lcp = leaf_lcp.tolist()
-    tree.tour_sparse = SparseMin(leaf_lcp)
-
-    lens = leaf_len.tolist()
-    lcps = tree.leaf_lcp
-    reprs = leaf_repr.tolist()
-    stack = [root]
-    sdepth = tree.sdepth
-    parent = tree.parent
-    leaves = tree.leaves
-    for g in range(m):
-        h = lcps[g]
+    # One sweep over the leaves in lex order.  first[v] is the leftmost
+    # occurrence of str(v): a node popped off the stack has its whole subtree
+    # built, so it hands its minimum to the node below it.
+    parent = [-1]
+    sdepth = [0]
+    first = [int(sa[0])]
+    leaves = []
+    stack = [0]
+    for h, length, pos in zip(leaf_lcp.tolist(), trunc_len[starts].tolist(),
+                              np.minimum.reduceat(sa, starts).tolist()):
         last = -1
         while sdepth[stack[-1]] > h:
             last = stack.pop()
+            if first[last] < first[stack[-1]]:
+                first[stack[-1]] = first[last]
         top = stack[-1]
         if sdepth[top] < h:
             # split: truncated suffixes are never prefixes of each other, so a
             # strictly deeper node was popped and becomes the new child
             assert last >= 0
-            mid = tree._new_node(parent=top, sdepth=h, repr_pos=tree.node_repr[last])
+            mid = len(parent)
+            parent.append(top)
+            sdepth.append(h)
+            first.append(first[last])
             parent[last] = mid
             stack.append(mid)
             top = mid
-        leaf = tree._new_node(parent=top, sdepth=lens[g], repr_pos=reprs[g])
-        leaves.append(leaf)
-        stack.append(leaf)
+        leaves.append(len(parent))
+        stack.append(len(parent))
+        parent.append(top)
+        sdepth.append(length)
+        first.append(pos)
+    while len(stack) > 1:
+        v = stack.pop()
+        if first[v] < first[stack[-1]]:
+            first[stack[-1]] = first[v]
 
-    tree._finalize_edges()
-
+    par = np.asarray(parent, dtype=np.int64)
+    sd = np.asarray(sdepth, dtype=np.int64)
+    parent_depth = np.zeros_like(sd)
+    parent_depth[1:] = sd[par[1:]]
+    estart = np.asarray(first, dtype=np.int64) + parent_depth
+    estart[0] = 0
+    tree = TruncatedSuffixTree(q=q, n=n, parent=par, sdepth=sdepth, estart=estart,
+                               elen=sd - parent_depth, leaves=leaves,
+                               leaf_lcp=leaf_lcp, ref=t.arr)
     leaf_of_pos = np.empty(n, dtype=np.int64)
     leaf_of_pos[sa] = group
     tree.leaf_of_pos = leaf_of_pos
@@ -227,93 +212,23 @@ def compact_reference(tree: TruncatedSuffixTree, t: Text) -> TruncatedSuffixTree
     edge windows are remapped.  Decoded labels are unchanged and the tree no
     longer references the Text.
     """
-    q, n = tree.q, tree.n
-    intervals = []
-    for g, leaf in enumerate(tree.leaves):
-        start = tree.node_repr[leaf]
-        intervals.append((start, min(start + q, n)))   # 0-based, half-open
-    intervals.sort()
-    merged: list[list[int]] = []
-    for s, e in intervals:
-        if merged and s <= merged[-1][1]:
-            if e > merged[-1][1]:
-                merged[-1][1] = e
-        else:
-            merged.append([s, e])
+    leaves = np.asarray(tree.leaves, dtype=np.int64)
+    sd = np.asarray(tree.sdepth, dtype=np.int64)
+    # a leaf's edge starts sdepth(parent) past its leftmost occurrence
+    starts = np.sort(tree.estart[leaves] - sd[tree.parent[leaves]])   # 0-based
+    ends = np.minimum(starts + tree.q, tree.n)                          # half-open
+    new = np.ones(len(starts), dtype=bool)
+    new[1:] = starts[1:] > np.maximum.accumulate(ends)[:-1]
+    head = np.flatnonzero(new)
+    p_start = starts[head]
+    p_end = np.maximum.reduceat(ends, head)
+    p_len = p_end - p_start
+    p_off = np.cumsum(p_len) - p_len
+    ref = t.arr[np.repeat(p_start - p_off, p_len) + np.arange(int(p_len.sum()))]
 
-    out_off = []
-    total = 0
-    for s, e in merged:
-        out_off.append(total)
-        total += e - s
-    refstr = np.concatenate([t.arr[s:e] for s, e in merged]) if merged else t.arr[:0]
-
-    starts = [s for s, _ in merged]
-    import bisect
-
-    def rebase(pos: int, length: int) -> int:
-        k = bisect.bisect_right(starts, pos) - 1
-        s, e = merged[k]
-        assert s <= pos and pos + length <= e, "edge window escapes its merged piece"
-        return out_off[k] + (pos - s)
-
-    for v in range(1, tree.node_count):
-        if tree.elen[v]:
-            tree.estart[v] = rebase(tree.estart[v], tree.elen[v])
-    tree.ref = refstr
-    tree.ref_is_private = True
+    es = tree.estart[1:]
+    k = np.searchsorted(p_start, es, side="right") - 1
+    assert (es + tree.elen[1:] <= p_end[k]).all(), "edge window escapes its merged piece"
+    tree.estart[1:] = p_off[k] + (es - p_start[k])
+    tree.ref = ref
     return tree
-
-
-def mark_tgram_nodes(tree: TruncatedSuffixTree, t: int) -> list[int]:
-    """Make every depth-t string an explicit node and rank leaves by it.
-
-    Depth-t nodes receive lexicographic ranks 1..K; each leaf of depth >= t
-    records the rank of its depth-t ancestor.  Shorter leaves keep the
-    reserved rank 0 and never participate in block ranking.
-    """
-    if tree.q < t:
-        raise ValueError("tree depth is smaller than the block length")
-    if tree.ref_is_private:
-        raise ValueError("mark t-grams before compacting the reference string")
-    m = tree.leaf_count
-    ranks = [0] * m
-    rank = 0
-    split_targets: list[int] = []
-    run_min = None   # min adjacent lcp since the previous qualifying leaf
-    for g in range(m):
-        leaf = tree.leaves[g]
-        if g > 0:
-            b = tree.leaf_lcp[g]
-            run_min = b if run_min is None else min(run_min, b)
-        if tree.sdepth[leaf] < t:
-            continue
-        if rank == 0 or run_min < t:
-            rank += 1
-            split_targets.append(leaf)
-        ranks[g] = rank
-        run_min = None
-
-    # Split the edge crossing depth t above one leaf per distinct t-gram.
-    inserted = 0
-    for leaf in split_targets:
-        v = leaf
-        while tree.sdepth[tree.parent[v]] >= t:
-            v = tree.parent[v]
-        if tree.sdepth[v] == t:
-            continue
-        p = tree.parent[v]
-        mid = tree._new_node(parent=p, sdepth=t, repr_pos=tree.node_repr[v])
-        tree.estart[mid] = tree.node_repr[v] + tree.sdepth[p]
-        tree.elen[mid] = t - tree.sdepth[p]
-        tree.parent[v] = mid
-        tree.estart[v] = tree.node_repr[v] + t
-        tree.elen[v] = tree.sdepth[v] - t
-        inserted += 1
-
-    tree.inserted_nodes = inserted
-    tree.tgram_rank = ranks
-    tree.tgram_depth = t
-    tree.tgram_count = rank
-    tree._children = None
-    return ranks

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lcex.blockcode import build_blockcode, rank_blocks
+from lcex.blockcode import assemble_code, build_blockcode, rank_blocks
 from lcex.diffcover import build_cover_index, build_difference_cover
 from lcex.oracle import naive_lce
 from lcex.textstore import load_text
@@ -62,7 +62,7 @@ def test_rank_order_isomorphism():
 
 def test_separators_distinct_below_ranks():
     text, bc, ranks, cover = make(FIG_W, 2)
-    code = bc.code.tolist()
+    code = assemble_code(ranks, cover).tolist()
     seps = [v for v in code if v < 0]
     assert len(seps) == len(set(seps))
     assert max(seps) < min(v for v in code if v > 0)
@@ -73,7 +73,7 @@ def test_separators_distinct_below_ranks():
 
 def test_code_lcp_brute_force_periodic():
     text, bc, ranks, cover = make(b"abc" * 6, 3)
-    code = bc.code.tolist()
+    code = assemble_code(ranks, cover).tolist()
     # within a residue segment, equal consecutive blocks give equal symbols;
     # verify code suffix lcp by brute force
     for a in range(len(code)):
@@ -91,15 +91,17 @@ def test_code_lcp_brute_force_periodic():
 def test_posmap_roundtrip_random():
     raw = bytes(random.Random(0).choice(b"abcd") for _ in range(500))
     text, bc, ranks, cover = make(raw, 4)
+    code = assemble_code(ranks, cover)
+    assert bc.code_len == len(code)
     for i in cover.positions():
         if i + 3 <= text.n:
-            assert bc.rank_at(i) == int(ranks[i])
+            assert code[cover.pos_in_code(i)] == ranks[i]
 
 
 def test_posmap_identity_degenerate():
     text, bc, ranks, cover = make(b"ab" * 6, 1)
     for i in range(1, text.n + 1):
-        assert bc.posmap(i) == i - 1
+        assert cover.pos_in_code(i) == i - 1
     assert bc.code_len == text.n + 1
 
 
@@ -124,7 +126,7 @@ def test_long_lce_exhaustive_figure(t):
 
 def test_no_cross_segment_match():
     text, bc, ranks, cover = make(FIG_W, 2)
-    code = bc.code.tolist()
+    code = assemble_code(ranks, cover).tolist()
     sep_positions = [k for k, v in enumerate(code) if v < 0]
     isa = bc.isa.tolist()
     for p in sep_positions:

@@ -3,6 +3,7 @@ import importlib
 import io
 import os
 import pkgutil
+import struct
 
 import pytest
 
@@ -78,6 +79,21 @@ def test_query_out_of_range_line(capsys, index_file):
 def test_query_bad_index(tmp_path, capsys):
     bad = tmp_path / "bad.lcex"
     bad.write_bytes(b"XXXXgarbage")
+    assert main(["query", str(bad), "--pair", "1", "2"]) == 3
+
+
+def test_query_rejects_trailing_junk(tmp_path, index_file):
+    bad = tmp_path / "junk.lcex"
+    with open(index_file, "rb") as fh:
+        bad.write_bytes(fh.read() + b"\x00")
+    assert main(["query", str(bad), "--pair", "1", "2"]) == 3
+
+
+def test_query_rejects_version_1_container(tmp_path, index_file):
+    bad = tmp_path / "v1.lcex"
+    with open(index_file, "rb") as fh:
+        blob = fh.read()
+    bad.write_bytes(blob[:4] + struct.pack("<H", 1) + blob[6:])
     assert main(["query", str(bad), "--pair", "1", "2"]) == 3
 
 

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lcex.container import dump_index, load_index, load_index_file, save_index
+from lcex.batch import lce_batch
+from lcex.container import (_Reader, _Writer, _read_blockcode, dump_index, load_index,
+                            load_index_file, save_index)
 from lcex.errors import FormatError
 from lcex.lce import build_index
 from lcex.oracle import naive_lce_table
@@ -18,7 +20,7 @@ def test_magic_and_version():
     blob = dump_index(build_index(text, 2))
     assert blob[:4] == b"LCEX"
     version, flags = struct.unpack("<HH", blob[4:8])
-    assert version == 1
+    assert version == 2
     assert flags == 0
 
 
@@ -40,6 +42,8 @@ def test_truncated_rejected():
     blob = dump_index(build_index(text, 2))
     with pytest.raises(FormatError):
         load_index(blob[: len(blob) // 2])
+    with pytest.raises(FormatError):
+        load_index(blob[:6])
 
 
 def test_roundtrip_byte_identity():
@@ -75,15 +79,50 @@ def test_packed_flag_roundtrip():
     assert dump_index(ix2) == blob
 
 
-def test_ladder_mode_roundtrip():
-    text = load_text(FIG_W)
-    ix = build_index(text, 3, level_ancestor="ladder")
-    ix2 = load_index(dump_index(ix))
-    assert ix2.nav.mode == "ladder"
-    table = naive_lce_table(text)
-    for i in range(1, text.n + 1):
-        for j in range(1, text.n + 1):
-            assert ix2.lce(i, j) == int(table[i, j])
+def test_version_1_rejected():
+    blob = dump_index(build_index(load_text(FIG_W), 2))
+    with pytest.raises(FormatError, match="version 1"):
+        load_index(blob[:4] + struct.pack("<H", 1) + blob[6:])
+
+
+@pytest.mark.parametrize("packed", [False, True])
+def test_trailing_bytes_rejected(packed):
+    blob = dump_index(build_index(load_text(b"ab" * 30), 4, packed=packed))
+    with pytest.raises(FormatError):
+        load_index(blob + b"\x00")
+    # one extra byte inside the params section, its length prefix grown to match
+    (length,) = struct.unpack("<Q", blob[8:16])
+    end = 16 + length
+    grown = blob[:8] + struct.pack("<Q", length + 1) + blob[16:end] + b"\x00" + blob[end:]
+    with pytest.raises(FormatError):
+        load_index(grown)
+
+
+def test_blockcode_length_must_match_cover():
+    w = _Writer()
+    w.u64(4)
+    w.u64(20)
+    w.array([0, 1])
+    w.array([0, 0])
+    with pytest.raises(FormatError, match="cover"):
+        _read_blockcode(_Reader(w.getvalue()))
+
+
+def test_loaded_index_keeps_only_query_state():
+    text = load_text(random_text(400, 4, seed=2))
+    ix = load_index(dump_index(build_index(text, 6, 3, packed=True)))
+    ix.lce(1, 2)
+    lce_batch(ix, np.arange(1, 40), np.arange(41, 80))
+    parts = {"tree": ix.tree, "nav": ix.nav, "bc": ix.bc, "packed.bc": ix.packed.bc}
+    lists = {f"{name}.{attr}" for name, obj in parts.items()
+             for attr, v in vars(obj).items() if isinstance(v, list)}
+    assert lists == {"tree.sdepth", "tree.leaves", "nav.sampled", "bc._isa_list",
+                     "packed.bc._isa_list"}
+    for bc in (ix.bc, ix.packed.bc):
+        assert not hasattr(bc, "code") and not hasattr(bc, "sa")
+    for arr in (ix.tree.parent, ix.tree.estart, ix.tree.elen, ix.tree.leaf_lcp,
+                ix.nav.parent):
+        assert isinstance(arr, np.ndarray)
 
 
 def test_file_roundtrip(tmp_path):

@@ -11,10 +11,10 @@ from lcex.tst import build_tst
 from conftest import FIG_W, decode_syms, fib_word
 
 
-def make(raw, t, mode="lifting"):
+def make(raw, t):
     text = load_text(raw)
     tree = build_tst(text, 2 * t)
-    nav = build_navtree(text, tree, t, level_ancestor=mode)
+    nav = build_navtree(text, tree, t)
     return text, tree, nav
 
 
@@ -131,17 +131,18 @@ def test_short_lce_random(raw, t, data):
 
 
 @settings(max_examples=20, deadline=None)
-@given(st.binary(min_size=4, max_size=150), st.integers(1, 6), st.data())
-def test_ladder_equals_lifting(raw, t, data):
+@given(st.binary(min_size=4, max_size=150), st.integers(1, 6))
+def test_level_ancestor_matches_parent_walk(raw, t):
     text = load_text(raw)
     if 2 * t > text.n:
         return
     tree = build_tst(text, 2 * t)
-    lift = build_navtree(text, tree, t, level_ancestor="lifting")
-    lad = build_navtree(text, tree, t, level_ancestor="ladder")
-    for v in range(lift.node_count):
-        for d in range(lift.depth[v] + 1):
-            assert lift.level_ancestor(v, d) == lad.level_ancestor(v, d), (v, d)
+    nav = build_navtree(text, tree, t)
+    for v in range(nav.node_count):
+        u = v
+        for d in range(nav.depth[v] + 1):
+            assert nav.level_ancestor(v, d) == u, (v, d)
+            u = nav.parent[u]
 
 
 def test_every_node_reaches_root():

@@ -7,10 +7,11 @@ from hypothesis import given, settings, strategies as st
 from lcex.errors import OutOfRange
 from lcex.lce import build_index
 from lcex.oracle import naive_lce
-from lcex.blockcode import build_blockcode
+from lcex.blockcode import assemble_code
 from lcex.diffcover import build_cover_index, build_difference_cover
-from lcex.packed import (_PAD, _fetch_words, bit_short_lce, build_bit_blockcode,
-                         build_packed, leading_equal_bits, pack, packed_lce)
+from lcex.packed import (_PAD, _fetch_words, bit_block_ranks, bit_short_lce,
+                         build_bit_blockcode, build_packed, leading_equal_bits, pack,
+                         packed_lce)
 from lcex.textstore import load_text
 
 from conftest import FIG_W, random_text
@@ -33,9 +34,9 @@ def bigint_pack_bits(text):
     return acc.to_bytes((nbits + pad_bits) // 8, "big") + b"\x00" * _PAD
 
 
-def fetch_loop_blockcode(pt):
-    """Reference block code: one fetch per defined cover bit position, ranked
-    densely through a value -> rank dict."""
+def fetch_loop_code(pt):
+    """Reference code(w) over the bit string: one fetch per defined cover bit
+    position, ranked densely through a value -> rank dict."""
     w = pt.word_size
     cover = build_cover_index(build_difference_cover(w), pt.nbits)
     positions = [p for p in cover.positions() if p + w - 1 <= pt.nbits]
@@ -44,7 +45,7 @@ def fetch_loop_blockcode(pt):
     ranks = np.zeros(pt.nbits + 1, dtype=np.int64)
     for p, v in zip(positions, values):
         ranks[p] = order[v]
-    return build_blockcode(ranks, cover)
+    return assemble_code(ranks, cover)
 
 
 def _mix(distinct, extra, rnd):
@@ -85,8 +86,9 @@ def test_pack_reference_covers_wide_and_unaligned():
 @given(packable_texts(64), st.integers(1, 64))
 def test_bit_blockcode_matches_fetch_loop(raw, ws):
     pt = pack(load_text(raw), word_size=ws)
-    got, want = build_bit_blockcode(pt), fetch_loop_blockcode(pt)
-    assert got.code.tolist() == want.code.tolist()
+    got, want = assemble_code(*bit_block_ranks(pt)), fetch_loop_code(pt)
+    assert got.tolist() == want.tolist()
+    assert build_bit_blockcode(pt).code_len == len(want)
 
 
 @settings(max_examples=60, deadline=None)

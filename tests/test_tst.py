@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from lcex.lz77 import lz77_factorize
 from lcex.textstore import load_text
-from lcex.tst import build_tst, compact_reference, mark_tgram_nodes
+from lcex.tst import build_tst, compact_reference
 
 from conftest import EXAMPLE_W, FIG_W, fib_word
 
@@ -143,68 +143,3 @@ def test_compact_releases_text_array():
     assert np.shares_memory(tree.ref, t.arr)
     compact_reference(tree, t)
     assert not np.shares_memory(tree.ref, t.arr)
-
-
-def test_marks_two_unigrams():
-    t = load_text(b"aaaa")
-    tree = build_tst(t, 2)
-    ranks = mark_tgram_nodes(tree, 1)
-    assert tree.tgram_count == 2   # the sentinel and 'a'
-    # position n carries the sentinel 1-gram, ranked smallest
-    sent_leaf = None
-    for g in range(tree.leaf_count):
-        if tree.leaf_string(g)[0] == t.sentinel:
-            sent_leaf = g
-    assert ranks[sent_leaf] == 1
-
-
-def test_marks_match_direct_sort():
-    t = load_text(FIG_W)
-    tree = build_tst(t, 4)
-    ranks = mark_tgram_nodes(tree, 2)
-    s = bytes(t.symbols())
-    grams = sorted({s[i : i + 2] for i in range(t.n - 1)})
-    lop = tree.leaf_of_pos
-    for i in range(1, t.n + 1):
-        g = int(lop[i - 1])
-        if i + 1 <= t.n:
-            assert ranks[g] == grams.index(s[i - 1 : i + 1]) + 1
-        else:
-            assert ranks[g] == 0
-
-
-def test_marks_count_random():
-    raw = bytes(random.Random(9).choice(b"abcd") for _ in range(300))
-    t = load_text(raw)
-    tree = build_tst(t, 8)
-    mark_tgram_nodes(tree, 4)
-    s = bytes(t.symbols())
-    distinct = {s[i : i + 4] for i in range(t.n - 3)}
-    assert tree.tgram_count == len(distinct)
-
-
-def test_marks_insert_only_unary_at_depth():
-    t = load_text(FIG_W)
-    tree = build_tst(t, 6)
-    mark_tgram_nodes(tree, 3)
-    unary = [v for v in range(tree.node_count)
-             if tree.children[v] and len(tree.children[v]) == 1]
-    assert len(unary) == tree.inserted_nodes
-    assert all(tree.sdepth[v] == 3 for v in unary)
-
-
-def test_marks_then_compact_keeps_decoding():
-    t = load_text(FIG_W)
-    tree = build_tst(t, 6)
-    mark_tgram_nodes(tree, 3)
-    before = [bytes(tree.leaf_string(g)) for g in range(tree.leaf_count)]
-    compact_reference(tree, t)
-    assert [bytes(tree.leaf_string(g)) for g in range(tree.leaf_count)] == before
-
-
-def test_mark_after_compact_rejected():
-    t = load_text(FIG_W)
-    tree = build_tst(t, 6)
-    compact_reference(tree, t)
-    with pytest.raises(ValueError):
-        mark_tgram_nodes(tree, 3)
