@@ -80,7 +80,10 @@ def short_chain_batch(ix: LceIndex, I: np.ndarray, J: np.ndarray, cap: int) -> n
 
 
 def lce_batch(ix: LceIndex, I: np.ndarray, J: np.ndarray) -> np.ndarray:
-    """Vectorized lce over position arrays; exact same answers as ix.lce."""
+    """Vectorized lce over position arrays; exact same answers as ix.lce.
+
+    This mirrors the scalar composition ``lce._compose`` lane by lane.
+    """
     I = np.asarray(I, dtype=np.int64)
     J = np.asarray(J, dtype=np.int64)
     n, t = ix.n, ix.t
@@ -116,17 +119,11 @@ def lce_batch(ix: LceIndex, I: np.ndarray, J: np.ndarray) -> np.ndarray:
             ix._hdelta_np = hdelta
         delta = (hdelta[(Jm - Im) % t] - Im) % t
         l2 = ix.bc.long_lce_batch(Im + delta, Jm + delta)
-        l3 = short_chain_batch(ix, Im + delta + t * l2, Jm + delta + t * l2, t)
-        ans[main] = delta + t * l2 + l3
+        s = delta + t * l2
+        ans[main] = s + short_chain_batch(ix, Im + s, Jm + s, t)
 
     if len(fall):
-        s = np.full(len(fall), t, dtype=np.int64)
-        active = np.arange(len(fall))
-        while len(active):
-            idx = fall[active]
-            r = short_chain_batch(ix, I[idx] + s[active], J[idx] + s[active], t)
-            s[active] += r
-            active = active[r == t]
-        ans[fall] = s
+        # t-capped chains repeated while they return t form one uncapped chain
+        ans[fall] = t + short_chain_batch(ix, I[fall] + t, J[fall] + t, n)
 
     return ans

@@ -14,7 +14,6 @@ import logging
 import os
 import random
 import sys
-import threading
 import time
 
 from . import container
@@ -121,30 +120,15 @@ def cmd_bench(args) -> int:
 
     answers = [0] * len(pairs)
     timings = [0] * len(pairs)
-
-    def worker(lo: int, hi: int) -> None:
-        q = ix.lce
-        clock = time.perf_counter_ns
-        for k in range(lo, hi):
-            i, j = pairs[k]
-            t0 = clock()
-            answers[k] = q(i, j)
-            timings[k] = clock() - t0
-
-    m = max(1, args.threads)
-    chunk = (len(pairs) + m - 1) // m
-    threads = [threading.Thread(target=worker, args=(k * chunk, min(len(pairs), (k + 1) * chunk)))
-               for k in range(m)]
-    for th in threads:
-        th.start()
-    for th in threads:
-        th.join()
+    q = ix.lce
+    clock = time.perf_counter_ns
+    for k, (i, j) in enumerate(pairs):
+        t0 = clock()
+        answers[k] = q(i, j)
+        timings[k] = clock() - t0
 
     t0 = time.perf_counter_ns()
-    mismatches = 0
-    for k, (i, j) in enumerate(pairs):
-        if answers[k] != oracle.lce(i, j):
-            mismatches += 1
+    mismatches = sum(a != oracle.lce(i, j) for a, (i, j) in zip(answers, pairs))
     oracle_ns = (time.perf_counter_ns() - t0) / max(1, len(pairs))
 
     timings.sort()
@@ -250,7 +234,6 @@ def make_parser() -> argparse.ArgumentParser:
     bench.add_argument("--auto-tune", action="store_true")
     bench.add_argument("--queries", type=int, default=10000)
     bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument("--threads", type=int, default=1)
     bench.add_argument("--csv")
     bench.set_defaults(func=cmd_bench)
 

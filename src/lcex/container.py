@@ -123,12 +123,18 @@ def _write_blockcode_payload(w: _Writer, bc) -> None:
     w.array(bc.lcp)
 
 
-def _read_blockcode(r: _Reader):
+def _expect(what: str, got: tuple, want: tuple) -> None:
+    """Fields that repeat params values must equal them (checked before
+    they size any allocation)."""
+    if got != want:
+        raise FormatError(f"{what} {got} disagrees with the params {want}")
+
+
+def _read_blockcode(r: _Reader, t: int, n: int):
     from .blockcode import BlockCode
     from .diffcover import build_cover_index, build_difference_cover
 
-    t = r.u64()
-    n = r.u64()
+    _expect("block code (t, n)", (r.u64(), r.u64()), (t, n))
     isa = r.array().astype(np.int64)
     lcp = r.array()
     cover = build_cover_index(build_difference_cover(t), n)
@@ -214,9 +220,12 @@ def load_index(data: bytes):
     r = body.section()
     n, t, t_prime, sigma, sentinel = (r.u64() for _ in range(5))
     r.end()
+    if not (1 <= t_prime <= t <= n and 2 * t_prime <= n):
+        raise FormatError(f"params need 1 <= t'={t_prime} <= t={t} <= n={n} and 2t' <= n")
 
     r = body.section()
     q, tree_n = r.u64(), r.u64()
+    _expect("trie (q, n)", (q, tree_n), (2 * t_prime, n))
     parent, sdepth, estart, elen, leaves, leaf_lcp, ref = (r.array() for _ in range(7))
     r.end()
     tree = TruncatedSuffixTree(q=q, n=tree_n, parent=parent, sdepth=sdepth.tolist(),
@@ -225,6 +234,7 @@ def load_index(data: bytes):
 
     r = body.section()
     nav_t, nav_n = r.u64(), r.u64()
+    _expect("navigation tree (t', n)", (nav_t, nav_n), (t_prime, n))
     parent = r.array()
     root = r.u64()
     sampled = r.array()
@@ -232,7 +242,7 @@ def load_index(data: bytes):
     nav = NavTree(t=nav_t, n=nav_n, parent=parent, root=root, sampled=sampled.tolist())
 
     r = body.section()
-    bc = _read_blockcode(r)
+    bc = _read_blockcode(r, t, n)
     r.end()
 
     r = body.section()
@@ -244,6 +254,7 @@ def load_index(data: bytes):
         z=None if z < 0 else z, n=r.u64(), t=r.u64(), t_prime=r.u64(),
     )
     r.end()
+    _expect("stats (n, t, t')", (stats.n, stats.t, stats.t_prime), (n, t, t_prime))
 
     packed_obj = None
     if flags & FLAG_PACKED:
@@ -254,8 +265,10 @@ def load_index(data: bytes):
         b = r.u64()
         word = r.u64()
         nbits = r.u64()
+        sym_bits = max(1, (sigma - 1).bit_length())
+        _expect("packed text (n, b, nbits)", (pn, b, nbits), (n, sym_bits, n * sym_bits))
         bits = r.array().tobytes()
-        pbc = _read_blockcode(r)
+        pbc = _read_blockcode(r, word, nbits)
         r.end()
         pt = PackedText(bits=bits, b=b, n=pn, word_size=word, nbits=nbits)
         packed_obj = PackedLce(pt=pt, bc=pbc)

@@ -4,13 +4,15 @@ A query decomposes as delta + t*l2 + l3: a capped prefix check aligns both
 positions onto the cover via the O(1) offset h, the block code supplies the
 whole-block run l2, and one more capped check finishes the remainder.  Near
 the text boundary the capped check simply chains, which stays O(1) because
-fewer than 2t+2 characters can remain there.
+fewer than 2t+2 characters can remain there.  ``_compose`` is the one scalar
+copy of this composition.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -52,6 +54,29 @@ def estimated_words(tst_nodes: int, tst_ref_len: int, nav_nodes: int,
             + sampled_count + 4 * code_len)
 
 
+def _compose(n: int, t: int, capped, bc: _bc.BlockCode, i: int, j: int) -> int:
+    """LCE(i, j) for in-range i, j over n positions, from a min(LCE, t)
+    primitive ``capped`` and the block code ``bc`` of block length t, which
+    only the block path reads.  ``LceIndex.lce``, ``lce_instrumented`` and
+    ``packed.bit_lce`` all answer through it."""
+    if i == j:
+        return n - i + 1
+    l1 = capped(i, j)
+    if l1 < t:
+        return l1
+    if max(i, j) > n - 2 * t - 1:
+        s = l1
+        while True:
+            r = capped(i + s, j + s)
+            s += r
+            if r < t:
+                return s
+    delta = bc.cover.dc.h(i, j)
+    l2 = bc.long_lce(i + delta, j + delta)
+    s = delta + t * l2
+    return s + capped(i + s, j + s)
+
+
 class LceIndex:
     """Encoding LCE structure: trie + navigation tree + block code.
 
@@ -75,25 +100,23 @@ class LceIndex:
 
     # -- queries ------------------------------------------------------------
 
-    def _short(self, i: int, j: int) -> int:
-        return _nav.short_lce(self.nav, self.tree, i, j)
+    def _capped(self, i: int, j: int, calls: list[int] | None = None) -> int:
+        """min(LCE(i, j), t) via chained t'-capped calls.
 
-    def _short_chain(self, i: int, j: int, cap: int) -> tuple[int, int]:
-        """Capped common-prefix length via chained t'-capped calls.
-
-        Returns (min(LCE, cap), number of sub-calls); at most ceil(cap/t')
-        sub-calls plus one when the cap is overshot mid-step.
+        At most ceil(t/t') sub-calls plus one when t is overshot mid-step;
+        their count is appended to ``calls`` when it is given.
         """
-        tp = self.t_prime
-        total = 0
-        calls = 0
+        nav, tree, tp, t = self.nav, self.tree, self.t_prime, self.t
+        total = k = 0
         while True:
-            r = self._short(i + total, j + total)
-            calls += 1
+            r = _nav.short_lce(nav, tree, i + total, j + total)
+            k += 1
             total += r
-            if r < tp or total >= cap:
+            if r < tp or total >= t:
                 break
-        return (min(total, cap), calls)
+        if calls is not None:
+            calls.append(k)
+        return min(total, t)
 
     def lce(self, i: int, j: int) -> int:
         """Length of the longest common prefix of the suffixes at i and j.
@@ -104,23 +127,7 @@ class LceIndex:
         n = self.n
         if not (1 <= i <= n and 1 <= j <= n):
             raise OutOfRange(f"positions ({i},{j}) not in [1..{n}]")
-        if i == j:
-            return n - i + 1
-        t = self.t
-        l1, _ = self._short_chain(i, j, t)
-        if l1 < t:
-            return l1
-        if max(i, j) > n - 2 * t - 1:
-            s = l1
-            while True:
-                r, _ = self._short_chain(i + s, j + s, t)
-                s += r
-                if r < t:
-                    return s
-        delta = self.bc.cover.dc.h(i, j)
-        l2 = self.bc.long_lce(i + delta, j + delta)
-        l3, _ = self._short_chain(i + delta + t * l2, j + delta + t * l2, t)
-        return delta + t * l2 + l3
+        return _compose(n, self.t, self._capped, self.bc, i, j)
 
     def lce_instrumented(self, i: int, j: int) -> tuple[int, dict]:
         """lce plus sub-call accounting: total capped-LCE sub-calls for the
@@ -128,44 +135,19 @@ class LceIndex:
         n = self.n
         if not (1 <= i <= n and 1 <= j <= n):
             raise OutOfRange(f"positions ({i},{j}) not in [1..{n}]")
-        counts: list[int] = []
-        if i == j:
-            return n - i + 1, {"total": 0, "per_invocation_max": 0, "invocations": 0}
-        t = self.t
-        l1, c = self._short_chain(i, j, t)
-        counts.append(c)
-        ans = None
-        if l1 < t:
-            ans = l1
-        elif max(i, j) > n - 2 * t - 1:
-            s = l1
-            while True:
-                r, c = self._short_chain(i + s, j + s, t)
-                counts.append(c)
-                s += r
-                if r < t:
-                    ans = s
-                    break
-        else:
-            delta = self.bc.cover.dc.h(i, j)
-            l2 = self.bc.long_lce(i + delta, j + delta)
-            l3, c = self._short_chain(i + delta + t * l2, j + delta + t * l2, t)
-            counts.append(c)
-            ans = delta + t * l2 + l3
-        return ans, {
-            "total": sum(counts),
-            "per_invocation_max": max(counts),
-            "invocations": len(counts),
-        }
+        calls: list[int] = []
+        ans = _compose(n, self.t, partial(self._capped, calls=calls), self.bc, i, j)
+        return ans, {"total": sum(calls), "per_invocation_max": max(calls, default=0),
+                     "invocations": len(calls)}
 
     def short_lce(self, i: int, j: int) -> int:
         """min(LCE(i, j), t), chained through the t' structure when t' < t."""
-        self_n = self.n
-        if not (1 <= i <= self_n and 1 <= j <= self_n):
-            raise OutOfRange(f"positions ({i},{j}) not in [1..{self_n}]")
+        n = self.n
+        if not (1 <= i <= n and 1 <= j <= n):
+            raise OutOfRange(f"positions ({i},{j}) not in [1..{n}]")
         if i == j:
-            return min(self_n - i + 1, self.t)
-        return self._short_chain(i, j, self.t)[0]
+            return min(n - i + 1, self.t)
+        return self._capped(i, j)
 
     def space_report(self) -> SpaceStats:
         return self.stats

@@ -9,12 +9,14 @@ ranks (most-significant-first packing makes numeric order lexicographic).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .blockcode import BlockCode, build_blockcode
 from .diffcover import CoverIndex, build_cover_index, build_difference_cover
 from .errors import OutOfRange
+from .lce import _compose
 from .textstore import Text
 
 _PAD = 16   # zero bytes past the end so unaligned fetches never slice short
@@ -64,16 +66,22 @@ def leading_equal_bits(x: int, width: int) -> int:
     return width - x.bit_length()
 
 
+def _capped(pt: PackedText, bi: int, bj: int) -> int:
+    # min(bitLCE(bi, bj), word_size) for bi, bj >= 1.  Bit suffixes may match
+    # to the very end (no bit-level sentinel), so a chained step can start one
+    # past the last bit; that contributes nothing
+    w = pt.word_size
+    cap = min(w, pt.nbits - bi + 1, pt.nbits - bj + 1)
+    if cap <= 0:
+        return 0
+    return min(leading_equal_bits(pt.fetch(bi, w) ^ pt.fetch(bj, w), w), cap)
+
+
 def bit_short_lce(pt: PackedText, bi: int, bj: int) -> int:
     """min(bitLCE(bi, bj), word_size) with one fetch per side plus XOR/msb."""
     if not (1 <= bi <= pt.nbits and 1 <= bj <= pt.nbits):
         raise OutOfRange(f"bit positions ({bi},{bj}) not in [1..{pt.nbits}]")
-    w = pt.word_size
-    cap = min(w, pt.nbits - bi + 1, pt.nbits - bj + 1)
-    x = pt.fetch(bi, w) ^ pt.fetch(bj, w)
-    if x == 0:
-        return cap
-    return min(leading_equal_bits(x, w), cap)
+    return _capped(pt, bi, bj)
 
 
 def _fetch_words(pt: PackedText, positions: np.ndarray, width: int) -> np.ndarray:
@@ -109,34 +117,11 @@ def build_bit_blockcode(pt: PackedText) -> BlockCode:
     return build_blockcode(*bit_block_ranks(pt))
 
 
-def _capped(pt: PackedText, bi: int, bj: int) -> int:
-    # bit suffixes may match to the very end (no bit-level sentinel), so a
-    # chained step can step one past the last bit; that contributes nothing
-    if bi > pt.nbits or bj > pt.nbits:
-        return 0
-    return bit_short_lce(pt, bi, bj)
-
-
 def bit_lce(pt: PackedText, bc: BlockCode, bi: int, bj: int) -> int:
     """Exact bit-level LCE by the same decompose-align-finish algorithm."""
-    nbits = pt.nbits
-    if bi == bj:
-        return nbits - bi + 1
-    w = pt.word_size
-    l1 = bit_short_lce(pt, bi, bj)
-    if l1 < w:
-        return l1
-    if max(bi, bj) > nbits - 2 * w - 1:
-        s = l1
-        while True:
-            r = _capped(pt, bi + s, bj + s)
-            s += r
-            if r < w:
-                return s
-    delta = bc.cover.dc.h(bi, bj)
-    l2 = bc.long_lce(bi + delta, bj + delta)
-    l3 = _capped(pt, bi + delta + w * l2, bj + delta + w * l2)
-    return delta + w * l2 + l3
+    if not (1 <= bi <= pt.nbits and 1 <= bj <= pt.nbits):
+        raise OutOfRange(f"bit positions ({bi},{bj}) not in [1..{pt.nbits}]")
+    return _compose(pt.nbits, pt.word_size, partial(_capped, pt), bc, bi, bj)
 
 
 def packed_lce(pt: PackedText, bc: BlockCode, i: int, j: int) -> int:

@@ -97,6 +97,19 @@ def test_query_rejects_version_1_container(tmp_path, index_file):
     assert main(["query", str(bad), "--pair", "1", "2"]) == 3
 
 
+def test_query_rejects_flipped_blockcode_t(tmp_path, index_file):
+    with open(index_file, "rb") as fh:
+        blob = bytearray(fh.read())
+    pos = 8
+    for _ in range(3):   # skip params, tst and navtree to the block code
+        pos += 8 + struct.unpack_from("<Q", blob, pos)[0]
+    assert struct.unpack_from("<Q", blob, pos + 8)[0] == 4
+    struct.pack_into("<Q", blob, pos + 8, 2**40)
+    bad = tmp_path / "flipped.lcex"
+    bad.write_bytes(bytes(blob))
+    assert main(["query", str(bad), "--pair", "1", "2"]) == 3
+
+
 def test_stats(capsys, index_file):
     assert main(["stats", index_file]) == 0
     out = capsys.readouterr().out
@@ -115,20 +128,6 @@ def test_bench_csv(tmp_path, capsys):
     assert list(rows[0].keys()) == BENCH_COLUMNS
     assert rows[0]["mismatches"] == "0"
     assert int(rows[0]["queries"]) == 500
-
-
-def test_bench_threads_match(tmp_path):
-    corp = tmp_path / "fib.bin"
-    corp.write_bytes(fib_word(2000))
-    out1 = str(tmp_path / "a.csv")
-    out4 = str(tmp_path / "b.csv")
-    assert main(["bench", "--input", str(corp), "--t", "8", "--queries", "400",
-                 "--seed", "1", "--threads", "1", "--csv", out1]) == 0
-    assert main(["bench", "--input", str(corp), "--t", "8", "--queries", "400",
-                 "--seed", "1", "--threads", "4", "--csv", out4]) == 0
-    r1 = list(csv.DictReader(open(out1)))[0]
-    r4 = list(csv.DictReader(open(out4)))[0]
-    assert r1["mismatches"] == r4["mismatches"] == "0"
 
 
 def test_bench_with_prebuilt_index(tmp_path, corpus, index_file):

@@ -105,7 +105,52 @@ def test_blockcode_length_must_match_cover():
     w.array([0, 1])
     w.array([0, 0])
     with pytest.raises(FormatError, match="cover"):
-        _read_blockcode(_Reader(w.getvalue()))
+        _read_blockcode(_Reader(w.getvalue()), 4, 20)
+
+
+def section_offsets(blob):
+    """Offset of each section's payload: params, tst, navtree, blockcode,
+    stats and, when packed, the packed section."""
+    offs, pos = [], 8
+    while pos < len(blob):
+        offs.append(pos + 8)
+        pos += 8 + struct.unpack_from("<Q", blob, pos)[0]
+    return offs
+
+
+def packed_blockcode_offset(blob):
+    """The packed block code follows n, b, word size, nbits and the bits
+    array (dtype tag, u64 count, one byte per entry)."""
+    off = section_offsets(blob)[5]
+    return off + 41 + struct.unpack_from("<Q", blob, off + 33)[0]
+
+
+# every field that repeats a params value (or, in the packed block code,
+# the packed text's word size and bit count): (section, offset in it)
+REPEATED_FIELDS = {
+    "params n": (0, 0), "params t": (0, 8), "params t'": (0, 16),
+    "trie q": (1, 0), "trie n": (1, 8),
+    "navtree t'": (2, 0), "navtree n": (2, 8),
+    "blockcode t": (3, 0), "blockcode n": (3, 8),
+    "stats n": (4, 56), "stats t": (4, 64), "stats t'": (4, 72),
+    "packed n": (5, 0), "packed b": (5, 8), "packed word size": (5, 16),
+    "packed nbits": (5, 24), "packed blockcode t": (None, 0),
+    "packed blockcode n": (None, 8),
+}
+
+
+@pytest.mark.parametrize("field", sorted(REPEATED_FIELDS))
+def test_repeated_field_must_match_params(field):
+    # 2**40 would be a terabyte-sized allocation if any loader step sized
+    # a table by it before the check
+    blob = dump_index(build_index(load_text(random_text(300, 4, seed=5)), 6, 3, packed=True))
+    load_index(blob)
+    section, off = REPEATED_FIELDS[field]
+    base = packed_blockcode_offset(blob) if section is None else section_offsets(blob)[section]
+    bad = bytearray(blob)
+    struct.pack_into("<Q", bad, base + off, 2**40)
+    with pytest.raises(FormatError, match="params"):
+        load_index(bytes(bad))
 
 
 def test_loaded_index_keeps_only_query_state():

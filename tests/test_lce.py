@@ -134,10 +134,57 @@ def test_param_validation():
 
 def test_query_range_errors():
     text = load_text(FIG_W)
-    ix = build_index(text, 2)
-    for i, j in [(0, 1), (1, 0), (text.n + 1, 1), (1, text.n + 1)]:
+    ix = build_index(text, 2, packed=True)
+    pk = ix.packed
+    nbits = pk.pt.nbits
+    queries = [ix.lce, ix.lce_instrumented, ix.short_lce, pk.lce]
+    for i, j in [(0, 1), (1, 0), (0, 0), (text.n + 1, 1), (1, text.n + 1),
+                 (text.n + 1, text.n + 1)]:
+        for query in queries:
+            with pytest.raises(OutOfRange):
+                query(i, j)
+    for bi, bj in [(0, 1), (1, 0), (0, 0), (nbits + 1, 1), (1, nbits + 1),
+                   (nbits + 1, nbits + 1)]:
         with pytest.raises(OutOfRange):
-            ix.lce(i, j)
+            pk.bit_lce(bi, bj)
+
+
+@pytest.mark.parametrize("raw", [fib_word(700),
+                                 random_text(500, 4, seed=8) + random_text(500, 4, seed=8)[400:]],
+                         ids=["fib", "random4-repeat"])
+def test_instrumented_counts_real_calls(monkeypatch, raw):
+    import lcex.navtree
+
+    calls = []
+    real = lcex.navtree.short_lce
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(lcex.navtree, "short_lce", counted)
+    text = load_text(raw)
+    n = text.n
+    rng = random.Random(len(raw))
+    for t, tp in [(8, 3), (12, 4), (9, 2)]:
+        ix = build_index(text, t, tp)
+        pairs = [(rng.randint(1, n), rng.randint(1, n)) for _ in range(300)]
+        pairs += [(rng.randint(n - 2 * t, n), rng.randint(1, n)) for _ in range(300)]
+        # long matches near the end: Fibonacci offsets, and the random text's
+        # copy of its last 100 symbols
+        pairs += [(i, i + d) for d in (13, 21, 34, 55, 100) for i in range(n - 3 * t - d, n - d)]
+        boundary = 0
+        for i, j in pairs:
+            calls.clear()
+            ans = ix.lce(i, j)
+            made = len(calls)
+            calls.clear()
+            got, stats = ix.lce_instrumented(i, j)
+            assert got == ans == naive_lce(text, i, j)
+            assert stats["total"] == made == len(calls), (t, tp, i, j)
+            if max(i, j) > n - 2 * t - 1 and ans >= t:
+                boundary += 1
+        assert boundary > 0
 
 
 def _collect_objects(root):
