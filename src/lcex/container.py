@@ -240,6 +240,15 @@ def load_index(data: bytes):
     sampled = r.array()
     r.end()
     nav = NavTree(t=nav_t, n=nav_n, parent=parent, root=root, sampled=sampled.tolist())
+    # n and t' must be paid for in bytes before they size the block code's
+    # cover: every t'-th position is sampled, and the 2t' <= n suffixes that
+    # reach the unique sentinel are distinct trie leaves
+    if len(nav.sampled) != -(-n // t_prime):
+        raise FormatError(f"{len(nav.sampled)} sampled positions, but n={n} and t'={t_prime} "
+                          f"need {-(-n // t_prime)}")
+    if len(tree.leaves) < 2 * t_prime:
+        raise FormatError(f"{len(tree.leaves)} trie leaves, but t'={t_prime} needs at least "
+                          f"{2 * t_prime}")
 
     r = body.section()
     bc = _read_blockcode(r, t, n)

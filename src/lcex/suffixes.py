@@ -1,42 +1,64 @@
-"""Suffix array, LCP array, and range-minimum plumbing used across modules."""
+"""Suffix array, LCP array, and range-minimum plumbing used across modules.
+
+Both arrays are numpy throughout.  ``suffix_array`` is prefix doubling
+(Manber & Myers 1993) that starts from packed q-grams and sorts one int64
+key per round; ``lcp_array`` computes the permuted LCP array (Kärkkäinen,
+Manzini & Puglisi 2009), comparing text only at its irreducible entries.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 
-_SMALL_N = 96
+# lcp_array works on blocks of _LCP_BUF text positions and compares at most
+# _LCP_BUF symbol pairs per step, so its temporaries stay a few hundred KB at
+# any n.  Comparison windows start _LCP_FIRST_WIDTH symbols wide and double.
+_LCP_BUF = 1 << 16
+_LCP_FIRST_WIDTH = 8
 
 
 def suffix_array(seq: np.ndarray) -> np.ndarray:
-    """Suffix array of an integer sequence, O(n log n) prefix doubling.
+    """Suffix array of an integer sequence by prefix doubling: at most
+    log2(n) rounds, each one sort of n int64 keys.
 
-    Small inputs are sorted directly; larger ones go through numpy lexsort
-    rounds.  Works for any integer dtype, negatives included.
+    Works for any integer dtype, negatives included, and needs no unique
+    terminator: a suffix that is a prefix of another sorts first.  Once the
+    suffixes are ranked 1..m by their first k symbols (0 marks the end of
+    the text), one int64 key packs the ranks at i, i+k, ..., i+(c-1)k with
+    c = 63 // bits(m), so a sort of the keys ranks the first c*k symbols.
+    The first round packs the symbols themselves (q-grams), and while m is
+    small, as on Fibonacci-like text, k grows more than twofold per round.
+    The sort need not be stable: the last round's keys are all distinct.
     """
     n = len(seq)
     if n == 0:
         return np.empty(0, dtype=np.int64)
-    if n <= _SMALL_N:
-        lst = seq.tolist()
-        order = sorted(range(n), key=lambda i: lst[i:])
-        return np.asarray(order, dtype=np.int64)
-    _, rank = np.unique(seq, return_inverse=True)
-    rank = rank.astype(np.int64)
+    alphabet = np.unique(seq)
+    rank = np.searchsorted(alphabet, seq).astype(np.int64, copy=False)
+    rank += 1
+    m = len(alphabet)
+    del alphabet
+    key = np.empty(n, dtype=np.int64)
+    changed = np.empty(n, dtype=bool)
+    changed[0] = True
     k = 1
-    idx = np.arange(n, dtype=np.int64)
     while True:
-        key2 = np.full(n, -1, dtype=np.int64)
-        key2[: n - k] = rank[k:]
-        sa = np.lexsort((key2, rank))
-        changed = np.empty(n, dtype=np.int64)
-        changed[0] = 0
-        changed[1:] = (rank[sa[1:]] != rank[sa[:-1]]) | (key2[sa[1:]] != key2[sa[:-1]])
-        new_rank = np.empty(n, dtype=np.int64)
-        new_rank[sa] = np.cumsum(changed)
-        rank = new_rank
-        if rank[sa[-1]] == n - 1 or k >= n:
+        bits = m.bit_length()
+        c = min(63 // bits, -(-n // k))     # (c-1)*k < n: no all-zero slots
+        key[:] = rank
+        for j in range(1, c):
+            key <<= bits
+            key[: n - j * k] |= rank[j * k :]
+        sa = np.argsort(key)
+        np.take(key, sa, out=rank)          # rank holds the sorted keys here
+        np.not_equal(rank[1:], rank[:-1], out=changed[1:])
+        np.cumsum(changed, out=key)         # dense 1-based ranks in SA order
+        m = int(key[-1])
+        if m == n:
             return sa
-        k *= 2
+        rank[sa] = key
+        del sa
+        k *= c
 
 
 def inverse_permutation(sa: np.ndarray) -> np.ndarray:
@@ -45,30 +67,81 @@ def inverse_permutation(sa: np.ndarray) -> np.ndarray:
     return isa
 
 
+def _match_lengths(seq: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """lcp of the suffixes at a[x] and b[x] (a[x] != b[x]), pairwise.
+
+    Compares windows whose width doubles from ``_LCP_FIRST_WIDTH`` for the
+    pairs still matching, with at most ``_LCP_BUF`` symbol pairs per step.
+    """
+    n = len(seq)
+    out = np.zeros(len(a), dtype=np.int64)
+    live = np.arange(len(a))
+    width = _LCP_FIRST_WIDTH
+    while len(live):
+        step = max(1, _LCP_BUF // width)
+        offs = np.arange(width)
+        nxt = []
+        for lo in range(0, len(live), step):
+            idx = live[lo : lo + step]
+            done = out[idx]
+            pa = (a[idx] + done)[:, None] + offs
+            pb = (b[idx] + done)[:, None] + offs
+            ok = np.maximum(pa, pb) < n
+            np.minimum(pa, n - 1, out=pa)
+            np.minimum(pb, n - 1, out=pb)
+            ok &= seq[pa] == seq[pb]
+            run = np.where(ok.all(axis=1), width, ok.argmin(axis=1))
+            out[idx] = done + run
+            nxt.append(idx[run == width])
+        live = np.concatenate(nxt)
+        width = min(2 * width, _LCP_BUF)
+    return out
+
+
 def lcp_array(seq: np.ndarray, sa: np.ndarray) -> np.ndarray:
-    """LCP array by Kasai's algorithm; lcp[k] = lcp(suffix sa[k-1], suffix sa[k])."""
+    """LCP array; lcp[k] = lcp(suffix sa[k-1], suffix sa[k]) and lcp[0] = 0.
+
+    Goes through the permuted array plcp[i] = lcp(i, phi[i]), where phi[i]
+    is the suffix just before i in SA order.  Entry i is reducible when
+    phi[i-1] = phi[i]-1 and seq[i-1] = seq[phi[i]-1]: then plcp[i] =
+    plcp[i-1]-1.  (The first condition always holds after a unique
+    terminator; without one it can fail.)  Only irreducible entries compare
+    symbols.  plcp[i] + i never decreases, so a running maximum over the
+    irreducible entries' plcp[i] + i fills in the rest.  Exact, and equal to
+    Kasai's.
+    """
     n = len(sa)
-    lcp = np.zeros(n, dtype=np.int64)
     if n <= 1:
-        return lcp
-    isa = inverse_permutation(sa)
-    s = seq.tolist()
-    sa_l = sa.tolist()
-    isa_l = isa.tolist()
-    out = lcp.tolist()
-    k = 0
-    for i in range(n):
-        r = isa_l[i]
-        if r == 0:
-            k = 0
-            continue
-        j = sa_l[r - 1]
-        while i + k < n and j + k < n and s[i + k] == s[j + k]:
-            k += 1
-        out[r] = k
-        if k:
-            k -= 1
-    return np.asarray(out, dtype=np.int64)
+        return np.zeros(n, dtype=np.int64)
+    phi = np.empty(n, dtype=np.int64)
+    phi[sa[1:]] = sa[:-1]
+    phi[sa[0]] = -1
+    # phi becomes plcp[i] + i at irreducible i and 0 elsewhere, one block at
+    # a time; before carries phi[s-1] past its overwrite (-3 at s = 0, where
+    # it can equal no phi[0] - 1)
+    before = -3
+    for s in range(0, n, _LCP_BUF):
+        e = min(n, s + _LCP_BUF)
+        ph = phi[s:e].copy()
+        j = ph - 1
+        reducible = j >= 0
+        reducible[0] &= before == j[0]
+        reducible[1:] &= ph[:-1] == j[1:]
+        reducible &= seq.take(np.arange(s - 1, e - 1)) == seq.take(np.maximum(j, 0))
+        before = ph[-1]
+        irr = np.flatnonzero(~reducible)
+        pos = irr + s
+        partner = ph[irr]
+        has = partner >= 0
+        val = pos.copy()
+        val[has] += _match_lengths(seq, pos[has], partner[has])
+        block = phi[s:e]
+        block[:] = 0
+        block[irr] = val
+    np.maximum.accumulate(phi, out=phi)
+    lcp = phi[sa]
+    lcp -= sa
+    return lcp
 
 
 def log2_table(n: int) -> np.ndarray:

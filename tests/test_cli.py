@@ -110,6 +110,23 @@ def test_query_rejects_flipped_blockcode_t(tmp_path, index_file):
     assert main(["query", str(bad), "--pair", "1", "2"]) == 3
 
 
+def test_query_rejects_huge_n_and_t(tmp_path, index_file):
+    # n and t set to 2**40 everywhere they repeat: params, trie, navigation
+    # tree, block code and stats; only the sampled count gives it away
+    with open(index_file, "rb") as fh:
+        blob = bytearray(fh.read())
+    offs, pos = [], 8
+    while pos < len(blob):
+        offs.append(pos + 8)
+        pos += 8 + struct.unpack_from("<Q", blob, pos)[0]
+    params, trie, nav, bc, stats = offs
+    for off in (params, params + 8, trie + 8, nav + 8, bc, bc + 8, stats + 56, stats + 64):
+        struct.pack_into("<Q", blob, off, 2**40)
+    bad = tmp_path / "huge.lcex"
+    bad.write_bytes(bytes(blob))
+    assert main(["query", str(bad), "--pair", "1", "2"]) == 3
+
+
 def test_stats(capsys, index_file):
     assert main(["stats", index_file]) == 0
     out = capsys.readouterr().out

@@ -1,4 +1,8 @@
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +17,8 @@ from lcex.oracle import naive_lce_table
 from lcex.textstore import load_text
 
 from conftest import FIG_W, fib_word, random_text
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def test_magic_and_version():
@@ -151,6 +157,55 @@ def test_repeated_field_must_match_params(field):
     struct.pack_into("<Q", bad, base + off, 2**40)
     with pytest.raises(FormatError, match="params"):
         load_index(bytes(bad))
+
+
+# n and t in every section that repeats them: each repeat check passes, so
+# only the bounds on n and t' by the bytes that pay for them stop the load
+HUGE_N_T_FIELDS = ("params n", "params t", "trie n", "navtree n", "blockcode t",
+                   "blockcode n", "stats n", "stats t")
+
+
+def huge_n_t_container():
+    blob = dump_index(build_index(load_text(random_text(300, 4, seed=5)), 6, 3))
+    offs = section_offsets(blob)
+    bad = bytearray(blob)
+    for field in HUGE_N_T_FIELDS:
+        section, off = REPEATED_FIELDS[field]
+        struct.pack_into("<Q", bad, offs[section] + off, 2**40)
+    return bytes(bad)
+
+
+def test_huge_n_and_t_rejected_before_allocation():
+    with pytest.raises(FormatError, match="sampled"):
+        load_index(huge_n_t_container())
+
+
+def test_huge_n_and_t_rejected_under_address_space_limit(tmp_path):
+    path = tmp_path / "huge.lcex"
+    path.write_bytes(huge_n_t_container())
+    script = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from lcex.container import load_index_file\n"
+        "from lcex.errors import FormatError\n"
+        "try:\n"
+        "    load_index_file(sys.argv[1])\n"
+        "except FormatError:\n"
+        "    print('FormatError')\n"
+    )
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script, str(path)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.stdout.strip() == "FormatError", done.stderr
+
+
+def test_trie_with_fewer_than_2t_prime_leaves_rejected():
+    ix = build_index(load_text(random_text(300, 4, seed=5)), 6, 3)
+    load_index(dump_index(ix))
+    ix.tree.leaves = ix.tree.leaves[:5]
+    with pytest.raises(FormatError, match="leaves"):
+        load_index(dump_index(ix))
 
 
 def test_loaded_index_keeps_only_query_state():
