@@ -34,16 +34,6 @@ def _locate_batch(ix: LceIndex, I: np.ndarray) -> np.ndarray:
     return nodes
 
 
-def _leaf_sdepth_np(ix: LceIndex) -> np.ndarray:
-    cache = getattr(ix, "_leaf_sdepth_np", None)
-    if cache is None:
-        sd = np.asarray(ix.tree.sdepth, dtype=np.int64)
-        leaves = np.asarray(ix.tree.leaves, dtype=np.int64)
-        cache = sd[leaves]
-        ix._leaf_sdepth_np = cache
-    return cache
-
-
 def short_lce_batch(ix: LceIndex, I: np.ndarray, J: np.ndarray) -> np.ndarray:
     """min(LCE, t') for every lane, one locate pair + one LCA lookup each."""
     tree = ix.tree
@@ -56,7 +46,7 @@ def short_lce_batch(ix: LceIndex, I: np.ndarray, J: np.ndarray) -> np.ndarray:
     val = tree.tour_sparse.query_batch(lo, hi).astype(np.int64)
     same = u == v
     if same.any():
-        val[same] = _leaf_sdepth_np(ix)[u[same]]
+        val[same] = tree.depth_batch(u[same])
     return np.minimum(val, tp)
 
 

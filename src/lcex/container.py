@@ -1,12 +1,13 @@
 """Versioned binary container for a built index.
 
-Layout (version 2): magic "LCEX", version u16, flags u16, then
+Layout (version 3): magic "LCEX", version u16, flags u16, then
 length-prefixed sections in fixed order, holding only what a query or the
-edge-label decoder reads:
+leaf-string decoder reads:
 
 - params: n, t, t', sigma, sentinel;
-- tst: q, n, then parent, sdepth, estart, elen, leaves, leaf_lcp and the
-  reference string;
+- tst: q, n, then leaf_lcp, the ranks and depths of the leaves shorter
+  than q, and the sorted alphabet (no trie nodes: leaf strings decode
+  through the navigation parents);
 - navtree: t', n, parent (the root is its own parent), root, sampled;
 - blockcode: t, n, and the isa and lcp of code(w) (neither code(w) nor its
   suffix array);
@@ -17,10 +18,11 @@ edge-label decoder reads:
 All integers are fixed-width little-endian.  Arrays carry a dtype tag
 chosen deterministically from their value range, so serialize(load(b))
 reproduces b byte for byte; bytes after the last field of a section or
-after the last section are a format error.  Load keeps the node arrays as
-numpy arrays and rebuilds only two sparse tables (over the trie's leaf LCPs
-and the block code's LCPs) and a navigation lifting table of
-max(1, ceil(log2 t')) levels.  Trie child maps are built only on demand.
+after the last section are a format error.  Every array is range-checked
+on load, one vectorized check each, so that it cannot index past a table.
+Load rebuilds only two sparse tables (over the leaf LCPs and the block
+code's LCPs) and a navigation lifting table of max(1, ceil(log2 t'))
+levels.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import numpy as np
 from .errors import FormatError
 
 MAGIC = b"LCEX"
-VERSION = 2
+VERSION = 3
 FLAG_PACKED = 1
 
 _DTYPES = {
@@ -80,13 +82,14 @@ class _Writer:
 
 class _Reader:
     def __init__(self, data: bytes):
-        self.buf = io.BytesIO(data)
+        self.data = data
+        self.pos = 0
 
     def _read(self, n: int) -> bytes:
-        b = self.buf.read(n)
-        if len(b) != n:
+        if n > len(self.data) - self.pos:
             raise FormatError("truncated container")
-        return b
+        self.pos += n
+        return self.data[self.pos - n : self.pos]
 
     def u8(self): return struct.unpack("<B", self._read(1))[0]
     def u16(self): return struct.unpack("<H", self._read(2))[0]
@@ -98,7 +101,7 @@ class _Reader:
         return _Reader(self._read(self.u64()))
 
     def end(self) -> None:
-        if self.buf.read(1):
+        if self.pos != len(self.data):
             raise FormatError("trailing bytes after the last field")
 
     def array(self) -> np.ndarray:
@@ -130,16 +133,31 @@ def _expect(what: str, got: tuple, want: tuple) -> None:
         raise FormatError(f"{what} {got} disagrees with the params {want}")
 
 
-def _read_blockcode(r: _Reader, t: int, n: int):
+def _check(what: str, ok) -> None:
+    if not ok:
+        raise FormatError(f"{what} out of range")
+
+
+def _within(arr: np.ndarray, lo: int, hi: int) -> bool:
+    """Every entry in lo..hi-1 (an empty array passes)."""
+    return not len(arr) or (lo <= int(arr.min()) and int(arr.max()) < hi)
+
+
+def _read_blockcode(r: _Reader, t: int, n: int, t_max: int | None = None):
     from .blockcode import BlockCode
     from .diffcover import build_cover_index, build_difference_cover
 
     _expect("block code (t, n)", (r.u64(), r.u64()), (t, n))
+    if t_max is not None and not 1 <= t <= t_max:
+        raise FormatError(f"block length {t} not in 1..{t_max}")
     isa = r.array().astype(np.int64)
     lcp = r.array()
     cover = build_cover_index(build_difference_cover(t), n)
-    if not len(isa) == len(lcp) == cover.code_len:
+    m = cover.code_len
+    if not len(isa) == len(lcp) == m:
         raise FormatError("block code length does not match its cover")
+    _check("block code isa", _within(isa, 0, m) and (np.bincount(isa, minlength=m) == 1).all())
+    _check("block code lcp", _within(lcp, 0, m))
     return BlockCode(cover, isa, lcp)
 
 
@@ -159,8 +177,7 @@ def dump_index(ix) -> bytes:
     w = _Writer()
     w.u64(tree.q)
     w.u64(tree.n)
-    for arr in (tree.parent, tree.sdepth, tree.estart, tree.elen, tree.leaves,
-                tree.leaf_lcp, tree.ref):
+    for arr in (tree.leaf_lcp, tree.short_leaf, tree.short_depth, tree.alphabet):
         w.array(arr)
     out.write(_section(w))
 
@@ -206,7 +223,7 @@ def load_index(data: bytes):
     """Rebuild an index from container bytes."""
     from .lce import LceIndex, SpaceStats
     from .navtree import NavTree
-    from .tst import TruncatedSuffixTree
+    from .tst import LeafTable
 
     if data[:4] != MAGIC:
         raise FormatError("bad magic")
@@ -226,11 +243,22 @@ def load_index(data: bytes):
     r = body.section()
     q, tree_n = r.u64(), r.u64()
     _expect("trie (q, n)", (q, tree_n), (2 * t_prime, n))
-    parent, sdepth, estart, elen, leaves, leaf_lcp, ref = (r.array() for _ in range(7))
+    leaf_lcp, short_leaf, short_depth, alphabet = (r.array() for _ in range(4))
     r.end()
-    tree = TruncatedSuffixTree(q=q, n=tree_n, parent=parent, sdepth=sdepth.tolist(),
-                               estart=estart, elen=elen, leaves=leaves.tolist(),
-                               leaf_lcp=leaf_lcp, ref=ref)
+    # the 2t' <= n suffixes that reach the unique sentinel are distinct leaves
+    leaves = len(leaf_lcp)
+    if leaves < 2 * t_prime:
+        raise FormatError(f"{leaves} trie leaves, but t'={t_prime} needs at least "
+                          f"{2 * t_prime}")
+    _check("leaf_lcp", leaf_lcp[0] == 0 and _within(leaf_lcp, 0, q))
+    # the q-1 suffixes shorter than q are leaves of depths 1..q-1
+    _check("short leaves", len(short_leaf) == len(short_depth) == q - 1
+           and _within(short_leaf, 0, leaves) and (np.diff(short_leaf.astype(np.int64)) > 0).all()
+           and _within(short_depth, 1, q))
+    _check("alphabet", len(alphabet) == sigma == np.count_nonzero(leaf_lcp == 0)
+           and (np.diff(alphabet.astype(np.int64)) > 0).all())
+    tree = LeafTable(q=q, n=tree_n, leaf_lcp=leaf_lcp, short_leaf=short_leaf,
+                     short_depth=short_depth, alphabet=alphabet)
 
     r = body.section()
     nav_t, nav_n = r.u64(), r.u64()
@@ -239,16 +267,20 @@ def load_index(data: bytes):
     root = r.u64()
     sampled = r.array()
     r.end()
-    nav = NavTree(t=nav_t, n=nav_n, parent=parent, root=root, sampled=sampled.tolist())
     # n and t' must be paid for in bytes before they size the block code's
-    # cover: every t'-th position is sampled, and the 2t' <= n suffixes that
-    # reach the unique sentinel are distinct trie leaves
-    if len(nav.sampled) != -(-n // t_prime):
-        raise FormatError(f"{len(nav.sampled)} sampled positions, but n={n} and t'={t_prime} "
+    # cover: every t'-th position is sampled
+    if len(sampled) != -(-n // t_prime):
+        raise FormatError(f"{len(sampled)} sampled positions, but n={n} and t'={t_prime} "
                           f"need {-(-n // t_prime)}")
-    if len(tree.leaves) < 2 * t_prime:
-        raise FormatError(f"{len(tree.leaves)} trie leaves, but t'={t_prime} needs at least "
-                          f"{2 * t_prime}")
+    _check("navigation parents", len(parent) == leaves and _within(parent, 0, leaves))
+    _check("navigation root", root < leaves)
+    _check("sampled leaves", _within(sampled, 0, leaves))
+    nav = NavTree(t=nav_t, n=nav_n, parent=parent, root=root, sampled=sampled.tolist())
+    # the unique sentinel is the root: a depth-1 leaf, its own parent, and
+    # the leaf at position n
+    _check("navigation root", parent[root] == root and tree.lca_prefix_len(root, root) == 1
+           and nav.locate(n) == root)
+    tree.nav_parent = nav.parent
 
     r = body.section()
     bc = _read_blockcode(r, t, n)
@@ -267,7 +299,7 @@ def load_index(data: bytes):
 
     packed_obj = None
     if flags & FLAG_PACKED:
-        from .packed import PackedLce, PackedText
+        from .packed import _PAD, PackedLce, PackedText
 
         r = body.section()
         pn = r.u64()
@@ -277,7 +309,8 @@ def load_index(data: bytes):
         sym_bits = max(1, (sigma - 1).bit_length())
         _expect("packed text (n, b, nbits)", (pn, b, nbits), (n, sym_bits, n * sym_bits))
         bits = r.array().tobytes()
-        pbc = _read_blockcode(r, word, nbits)
+        _check("packed text length", len(bits) == -(-nbits // 8) + _PAD)
+        pbc = _read_blockcode(r, word, nbits, 64)
         r.end()
         pt = PackedText(bits=bits, b=b, n=pn, word_size=word, nbits=nbits)
         packed_obj = PackedLce(pt=pt, bc=pbc)

@@ -78,14 +78,14 @@ def _compose(n: int, t: int, capped, bc: _bc.BlockCode, i: int, j: int) -> int:
 
 
 class LceIndex:
-    """Encoding LCE structure: trie + navigation tree + block code.
+    """Encoding LCE structure: trie leaf table + navigation tree + block code.
 
     After construction the original text is unreachable; every answer comes
     from the component structures alone.
     """
 
     def __init__(self, n: int, t: int, t_prime: int, sigma: int, sentinel: int,
-                 tree: _tst.TruncatedSuffixTree, nav: _nav.NavTree,
+                 tree: _tst.LeafTable, nav: _nav.NavTree,
                  bc: _bc.BlockCode, stats: SpaceStats, packed=None):
         self.n = n
         self.t = t
@@ -165,10 +165,10 @@ def build_index(t: Text, t_param: int, t_prime: int | None = None,
 
     dc = build_difference_cover(t_param)
     cover = build_cover_index(dc, n)
-    tree = _tst.build_tst(t, 2 * tp)
+    tree = _tst.build_leaf_table(t, 2 * tp)
     nav = _nav.build_navtree(t, tree, tp)
+    tree.nav_parent = nav.parent
     bc = _bc.build_blockcode(_bc.rank_blocks(t, cover, tp), cover)
-    _tst.compact_reference(tree, t)
 
     pk = None
     if packed:
@@ -176,18 +176,20 @@ def build_index(t: Text, t_param: int, t_prime: int | None = None,
 
         pk = _packed.build_packed(t)
 
+    # the paper's trie figures, from the leaf table without building the trie
+    ref_len = _tst.reference_length(tree)
     stats = SpaceStats(
         tst_nodes=tree.node_count,
-        tst_ref_len=len(tree.ref),
+        tst_ref_len=ref_len,
         nav_nodes=nav.node_count,
         sampled_count=len(nav.sampled),
         code_len=bc.code_len,
         estimated_words=estimated_words(
-            tree.node_count, len(tree.ref), nav.node_count,
-            len(nav.sampled), bc.code_len),
+            tree.node_count, ref_len, nav.node_count, len(nav.sampled), bc.code_len),
         z=z, n=n, t=t_param, t_prime=tp,
     )
-    tree.leaf_of_pos = None   # transient build artifact; the index stays sub-linear
+    # transient build artifacts; the index stays sub-linear
+    tree.leaf_of_pos = tree.leftmost = None
     return LceIndex(n=n, t=t_param, t_prime=tp, sigma=t.sigma,
                     sentinel=t.sentinel, tree=tree, nav=nav, bc=bc,
                     stats=stats, packed=pk)

@@ -1,19 +1,21 @@
 """Spanning-tree navigation over 2t-gram contexts: maps any position to its
 trie leaf in O(1) and answers length-capped LCE queries.
 
-Nodes are the leaves of the depth-2t truncated suffix tree.  Scanning the
-text right to left, each position's node gets the next position's node as
-parent on first visit; walking d ancestors from the node of a sampled
-position deletes d leading characters, which recovers the node spelling at
-least the first t characters of any position's context.
+Nodes are the leaves of the depth-2t truncated suffix tree.  Each node's
+parent is the node of the position after its rightmost occurrence; walking
+d ancestors from the node of a sampled position deletes d leading
+characters, which recovers the node spelling at least the first t
+characters of any position's context.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from .textstore import Text
-from .tst import TruncatedSuffixTree
+from .tst import LeafTable
 
 
 class NavTree:
@@ -32,7 +34,6 @@ class NavTree:
         self.parent = parent
         self.root = root
         self.sampled = sampled
-        self._depth: list[int] | None = None
         # lift_np[k][v] is the 2^k-th ancestor of v (the root maps to itself);
         # the scalar path reads zero-copy memoryviews of its rows
         self.lift_np = self._build_lifting()
@@ -44,29 +45,14 @@ class NavTree:
     def node_count(self) -> int:
         return len(self.parent)
 
-    @property
-    def depth(self) -> list[int]:
-        """Per node, its number of parent steps to the root; built on first use."""
-        if self._depth is None:
-            self._depth = self._compute_depths()
-        return self._depth
-
-    def _compute_depths(self) -> list[int]:
-        parent = self.parent.tolist()
-        depth = [-1] * len(parent)
-        depth[self.root] = 0
-        for v in range(len(parent)):
-            if depth[v] >= 0:
-                continue
-            path = []
-            u = v
-            while depth[u] < 0:
-                path.append(u)
-                u = parent[u]
-            d = depth[u]
-            for w in reversed(path):
-                d += 1
-                depth[w] = d
+    @cached_property
+    def depth(self) -> np.ndarray:
+        """Per node, its number of parent steps to the root (pointer jumping)."""
+        depth = (self.parent != np.arange(len(self.parent))).astype(np.int64)
+        up = self.parent
+        while (depth[up] > 0).any():
+            depth += depth[up]
+            up = up[up]
         return depth
 
     def _build_lifting(self) -> np.ndarray:
@@ -108,35 +94,27 @@ class NavTree:
         return v
 
 
-def build_navtree(t: Text, tree: TruncatedSuffixTree, blk: int) -> NavTree:
-    """Spanning tree over the 2*blk-gram graph, built by one right-to-left scan.
+def build_navtree(t: Text, tree: LeafTable, blk: int) -> NavTree:
+    """Spanning tree over the 2*blk-gram graph.
 
-    parent(node at i) = node at i+1, assigned at the rightmost occurrence;
-    every node is some position's context, so the relation is a tree rooted
-    at the sentinel node.
+    parent(node at i) = node at i+1, taken at the node's rightmost
+    occurrence; every node is some position's context, so the relation is a
+    tree rooted at the sentinel node, which occurs only at position n.
     """
     if tree.q != 2 * blk:
         raise ValueError("navigation tree needs a trie of depth exactly 2*blk")
     if tree.leaf_of_pos is None:
         raise ValueError("trie is missing its transient position map")
     n = t.n
-    lop = tree.leaf_of_pos.tolist()
-    root = lop[n - 1]
-    parent = [-1] * tree.leaf_count
+    lop = tree.leaf_of_pos
+    rightmost = np.full(tree.leaf_count, -1, dtype=np.int64)
+    np.maximum.at(rightmost, lop[: n - 1], np.arange(n - 1))
+    root = int(lop[n - 1])
+    parent = lop[rightmost + 1]
     parent[root] = root
-    for i in range(n - 2, -1, -1):
-        u = lop[i]
-        if parent[u] < 0:
-            parent[u] = lop[i + 1]
-    sampled = [lop[k] for k in range(0, n, blk)]
-    return NavTree(t=blk, n=n, parent=np.asarray(parent, dtype=np.int64), root=root,
-                   sampled=sampled)
+    return NavTree(t=blk, n=n, parent=parent, root=root, sampled=lop[::blk].tolist())
 
 
-def short_lce(nav: NavTree, tree: TruncatedSuffixTree, i: int, j: int) -> int:
+def short_lce(nav: NavTree, tree: LeafTable, i: int, j: int) -> int:
     """min(LCE(i, j), t) via two leaf locates and one LCA depth."""
-    u = nav.locate(i)
-    v = nav.locate(j)
-    if u == v:
-        return min(tree.sdepth[tree.leaves[u]], nav.t)
-    return min(tree.lca_prefix_len(u, v), nav.t)
+    return min(tree.lca_prefix_len(nav.locate(i), nav.locate(j)), nav.t)

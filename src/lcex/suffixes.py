@@ -164,7 +164,9 @@ class SparseMin:
         self.size = len(vals)
         self.log2 = log2_table(max(1, self.size))
         levels = 1 if self.size <= 1 else int(self.log2[self.size]) + 1
-        table = np.empty((levels, self.size), dtype=np.int32)
+        # level k fills only its first size - 2^k + 1 cells; the zeroed tail
+        # keeps a query past them deterministic
+        table = np.zeros((levels, self.size), dtype=np.int32)
         if self.size:
             table[0] = vals
         for k in range(1, levels):

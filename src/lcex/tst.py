@@ -1,12 +1,17 @@
-"""Truncated suffix tree: compacted trie over all q-clipped suffixes.
+"""Truncated suffix tree as a leaf table, and the full compacted trie.
 
-Construction runs over the suffix array of the text: truncating sorted
-suffixes at q keeps them sorted, adjacent duplicates collapse into one leaf
-per distinct clipped suffix, and the compacted trie falls out of a single
-left-to-right stack sweep over the deduplicated LCP values.
+Truncating the sorted suffixes of a text at q keeps them sorted, and adjacent
+duplicates collapse into one leaf per distinct clipped suffix.  The index
+keeps only the LCP-interval view of the trie (Abouelhoda, Kurtz & Ohlebusch
+2004): the adjacent-leaf LCPs, the few leaf depths below q and the alphabet.
+For the paper's space bounds, ``build_tst`` adds the compacted trie's nodes
+by one left-to-right stack sweep over the leaves, and ``compact_reference``
+its reference string.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 
@@ -14,107 +19,75 @@ from .suffixes import SparseMin
 from .textstore import Text
 
 
-class TruncatedSuffixTree:
-    """Compacted trie over the q-clipped suffixes of a text.
+class LeafTable:
+    """The leaves of the q-truncated suffix tree in lexicographic order.
 
-    Nodes are parallel arrays: ``parent`` (-1 at the root) and the edge
-    window ``estart``/``elen`` into ``ref`` are numpy arrays; ``sdepth`` is a
-    list, read with ``leaves`` (leaf node ids in lexicographic order) by the
-    scalar query path.  ``leaf_lcp[g]`` is the lcp of leaves g-1 and g, with
-    ``leaf_lcp[0] = 0``.  After ``compact_reference`` the edge windows point
-    into a private reference string and the original text is no longer
-    needed.  Child maps are built on first access; queries never read them.
+    ``leaf_lcp[g]`` is the lcp of leaves g-1 and g, with ``leaf_lcp[0] = 0``.
+    Every leaf has depth q except the ``short_leaf`` ranks (ascending), whose
+    clipped suffixes reach the end of the text and have depths
+    ``short_depth``.  ``alphabet`` is the sorted set of symbols.  Leaf
+    strings decode through ``nav_parent``, the navigation tree's parents,
+    which the index attaches once it has them.
     """
 
-    def __init__(self, q: int, n: int, parent: np.ndarray, sdepth: list[int],
-                 estart: np.ndarray, elen: np.ndarray, leaves: list[int],
-                 leaf_lcp: np.ndarray, ref: np.ndarray):
+    def __init__(self, q: int, n: int, leaf_lcp: np.ndarray, short_leaf: np.ndarray,
+                 short_depth: np.ndarray, alphabet: np.ndarray):
         self.q = q
         self.n = n
-        self.parent = parent
-        self.sdepth = sdepth
-        self.estart = estart
-        self.elen = elen
-        self.leaves = leaves
         self.leaf_lcp = leaf_lcp
-        self.ref = ref
+        self.short_leaf = short_leaf
+        self.short_depth = short_depth
+        self.alphabet = alphabet
+        self._short = dict(zip(short_leaf.tolist(), short_depth.tolist()))
         # range minimum over leaf_lcp: the LCA depth of two leaves (the name
         # predates it; perfbench/worker.py reads the attribute)
         self.tour_sparse = SparseMin(leaf_lcp)
-        self._children: list[dict | None] | None = None
-        # transient: position -> leaf rank, dropped once dependents are built
+        self.nav_parent: np.ndarray | None = None
+        # transient: position -> leaf rank and each leaf's leftmost 0-based
+        # occurrence, dropped once dependents are built
         self.leaf_of_pos: np.ndarray | None = None
-
-    # -- structure accessors -------------------------------------------------
-
-    @property
-    def node_count(self) -> int:
-        return len(self.parent)
+        self.leftmost: np.ndarray | None = None
 
     @property
     def leaf_count(self) -> int:
-        return len(self.leaves)
+        return len(self.leaf_lcp)
 
-    @property
-    def children(self) -> list[dict | None]:
-        """Per node, its children keyed by first edge symbol (None for leaves)."""
-        if self._children is None:
-            kids: list[dict | None] = [None] * self.node_count
-            first = self.ref[self.estart[1:]].tolist()
-            for v, (p, sym) in enumerate(zip(self.parent[1:].tolist(), first), 1):
-                c = kids[p]
-                if c is None:
-                    c = kids[p] = {}
-                c[sym] = v
-            self._children = kids
-        return self._children
+    @cached_property
+    def node_count(self) -> int:
+        """Nodes of the compacted trie: the leaves, the root, and one per LCP
+        interval of positive depth.  A positive leaf_lcp entry opens a new
+        interval unless the previous entry of the same value is in it, that
+        is, no smaller value lies between the two."""
+        h = self.leaf_lcp
+        order = np.argsort(h, kind="stable")
+        hs = h[order]
+        k = np.flatnonzero((hs[1:] == hs[:-1]) & (hs[1:] > 0))
+        prev, g = order[k], order[k + 1]
+        gap = g - prev > 1
+        joined = np.ones(len(g), dtype=bool)
+        joined[gap] = self.tour_sparse.query_batch(prev[gap] + 1, g[gap] - 1) > h[g[gap]]
+        return len(h) + 1 + int(np.count_nonzero(h)) - int(np.count_nonzero(joined))
 
-    def _label(self, v: int) -> np.ndarray:
-        s = int(self.estart[v])
-        return self.ref[s : s + int(self.elen[v])]
+    def depth_batch(self, g: np.ndarray) -> np.ndarray:
+        """Leaf depths; needs at least one short leaf, as any q >= 2 has."""
+        k = np.minimum(np.searchsorted(self.short_leaf, g), len(self.short_leaf) - 1)
+        return np.where(self.short_leaf[k] == g, self.short_depth[k], self.q)
 
-    def node_string(self, node: int) -> list[int]:
-        """Decode str(node) by walking edge windows up to the root."""
-        parts = []
-        v = node
-        while v != 0:
-            parts.append(self._label(v))
-            v = int(self.parent[v])
-        parts.reverse()
-        if not parts:
-            return []
-        return np.concatenate(parts).tolist()
+    @cached_property
+    def _decoder(self) -> tuple[list[int], list[int]]:
+        # the first symbol changes exactly where adjacent leaves share nothing
+        first = self.alphabet[np.cumsum(self.leaf_lcp == 0) - 1]
+        return first.tolist(), self.nav_parent.tolist()
 
-    def leaf_string(self, leaf_rank: int) -> list[int]:
-        return self.node_string(self.leaves[leaf_rank])
-
-    def descend_suffix(self, symbols: list[int]) -> int | None:
-        """Walk edge labels from the root along ``symbols`` until a leaf.
-
-        Returns the leaf reached, or None when the walk falls off the trie or
-        exhausts the input between nodes.  Feeding a whole suffix w[i..n]
-        always ends exactly at the leaf spelling its q-clipped form.
-        """
-        children = self.children
-        v = 0
-        pos = 0
-        while True:
-            c = children[v]
-            if not c:
-                return v
-            if pos >= len(symbols):
-                return None
-            nxt = c.get(symbols[pos])
-            if nxt is None:
-                return None
-            lab = self._label(nxt).tolist()
-            take = len(symbols) - pos
-            if take < len(lab):
-                return None
-            if lab != symbols[pos : pos + len(lab)]:
-                return None
-            pos += len(lab)
-            v = nxt
+    def leaf_string(self, g: int) -> list[int]:
+        """str(leaf g): a navigation parent step drops one leading symbol,
+        so the string is first(g), first(p(g)), first(p(p(g))), ..."""
+        first, parent = self._decoder
+        out = []
+        for _ in range(self._short.get(g, self.q)):
+            out.append(first[g])
+            g = parent[g]
+        return out
 
     def lca_prefix_len(self, leaf_a: int, leaf_b: int) -> int:
         """String depth of the LCA of two leaves (by rank); O(1).
@@ -124,58 +97,84 @@ class TruncatedSuffixTree:
         LCP-interval view of the trie); a leaf with itself is its full depth.
         """
         if leaf_a == leaf_b:
-            return self.sdepth[self.leaves[leaf_a]]
+            return self._short.get(leaf_a, self.q)
         if leaf_a > leaf_b:
             leaf_a, leaf_b = leaf_b, leaf_a
         return self.tour_sparse.query(leaf_a + 1, leaf_b)
+
+
+def build_leaf_table(t: Text, q: int) -> LeafTable:
+    """Group the text's suffix array into the leaves of the q-truncated trie:
+    a new leaf starts wherever the LCP with the previous suffix is below q."""
+    if not 1 <= q <= t.n:
+        raise ValueError(f"q={q} not in [1..{t.n}]")
+    n = t.n
+    sa = t.suffix_array()
+    lcp = t.lcp_array()
+    is_new = np.empty(n, dtype=bool)
+    is_new[0] = True
+    is_new[1:] = lcp[1:] < q
+    starts = np.flatnonzero(is_new)
+    leaf_lcp = lcp[starts]                       # lcp[0] = 0, the rest are < q
+    depth = np.minimum(n - sa[starts], q)
+    short = np.flatnonzero(depth < q)
+    table = LeafTable(q, n, leaf_lcp, short, depth[short], t.arr[sa[starts[leaf_lcp == 0]]])
+    table.leaf_of_pos = np.empty(n, dtype=np.int64)
+    table.leaf_of_pos[sa] = np.cumsum(is_new) - 1
+    table.leftmost = np.minimum.reduceat(sa, starts)
+    return table
+
+
+class TruncatedSuffixTree(LeafTable):
+    """A leaf table plus its compacted trie: ``parent`` per node (-1 at the
+    root) and ``leaves``, the leaf node ids in lexicographic order.  Leaf g
+    spells ``ref[start[g] : start[g] + depth]``; until ``compact_reference``
+    rebases the windows onto a private reference string, ``ref`` is the
+    text itself.
+    """
+
+    def __init__(self, table: LeafTable, parent: np.ndarray, leaves: list[int],
+                 ref: np.ndarray):
+        vars(self).update(vars(table))
+        self.parent = parent
+        self.leaves = leaves
+        self.start = table.leftmost
+        self.ref = ref
+
+    @property
+    def node_count(self) -> int:
+        return len(self.parent)
+
+    def leaf_string(self, g: int) -> list[int]:
+        s = int(self.start[g])
+        return self.ref[s : s + self._short.get(g, self.q)].tolist()
 
 
 def build_tst(t: Text, q: int) -> TruncatedSuffixTree:
     """Build the q-truncated suffix tree with lex-sorted leaves and O(1) LCA
     depth (one range minimum over leaf_lcp).
 
-    Edges reference the Text until ``compact_reference`` rebases them.
+    One sweep over the leaves in lex order keeps the stack of open nodes;
+    leaf windows reference the Text until ``compact_reference`` rebases them.
     """
-    if not 1 <= q <= t.n:
-        raise ValueError(f"q={q} not in [1..{t.n}]")
-    n = t.n
-    sa = t.suffix_array()
-    lcp = t.lcp_array()
-
-    trunc_len = np.minimum(q, n - sa)
-    is_new = np.empty(n, dtype=bool)
-    is_new[0] = True
-    is_new[1:] = lcp[1:] < q
-    group = np.cumsum(is_new) - 1
-    starts = np.flatnonzero(is_new)
-
-    leaf_lcp = np.minimum(lcp[starts], q)
-    leaf_lcp[0] = 0
-
-    # One sweep over the leaves in lex order.  first[v] is the leftmost
-    # occurrence of str(v): a node popped off the stack has its whole subtree
-    # built, so it hands its minimum to the node below it.
+    table = build_leaf_table(t, q)
+    depth = np.full(table.leaf_count, q, dtype=np.int64)
+    depth[table.short_leaf] = table.short_depth
     parent = [-1]
     sdepth = [0]
-    first = [int(sa[0])]
     leaves = []
     stack = [0]
-    for h, length, pos in zip(leaf_lcp.tolist(), trunc_len[starts].tolist(),
-                              np.minimum.reduceat(sa, starts).tolist()):
+    for h, length in zip(table.leaf_lcp.tolist(), depth.tolist()):
         last = -1
         while sdepth[stack[-1]] > h:
             last = stack.pop()
-            if first[last] < first[stack[-1]]:
-                first[stack[-1]] = first[last]
         top = stack[-1]
         if sdepth[top] < h:
             # split: truncated suffixes are never prefixes of each other, so a
             # strictly deeper node was popped and becomes the new child
-            assert last >= 0
             mid = len(parent)
             parent.append(top)
             sdepth.append(h)
-            first.append(first[last])
             parent[last] = mid
             stack.append(mid)
             top = mid
@@ -183,52 +182,38 @@ def build_tst(t: Text, q: int) -> TruncatedSuffixTree:
         stack.append(len(parent))
         parent.append(top)
         sdepth.append(length)
-        first.append(pos)
-    while len(stack) > 1:
-        v = stack.pop()
-        if first[v] < first[stack[-1]]:
-            first[stack[-1]] = first[v]
-
-    par = np.asarray(parent, dtype=np.int64)
-    sd = np.asarray(sdepth, dtype=np.int64)
-    parent_depth = np.zeros_like(sd)
-    parent_depth[1:] = sd[par[1:]]
-    estart = np.asarray(first, dtype=np.int64) + parent_depth
-    estart[0] = 0
-    tree = TruncatedSuffixTree(q=q, n=n, parent=par, sdepth=sdepth, estart=estart,
-                               elen=sd - parent_depth, leaves=leaves,
-                               leaf_lcp=leaf_lcp, ref=t.arr)
-    leaf_of_pos = np.empty(n, dtype=np.int64)
-    leaf_of_pos[sa] = group
-    tree.leaf_of_pos = leaf_of_pos
-    return tree
+    return TruncatedSuffixTree(table, np.asarray(parent, dtype=np.int64), leaves, t.arr)
 
 
-def compact_reference(tree: TruncatedSuffixTree, t: Text) -> TruncatedSuffixTree:
-    """Rebase every edge onto a private reference string.
-
-    Each leaf contributes its leftmost occurrence window; overlapping windows
-    merge, the surviving pieces concatenate into the reference string, and all
-    edge windows are remapped.  Decoded labels are unchanged and the tree no
-    longer references the Text.
-    """
-    leaves = np.asarray(tree.leaves, dtype=np.int64)
-    sd = np.asarray(tree.sdepth, dtype=np.int64)
-    # a leaf's edge starts sdepth(parent) past its leftmost occurrence
-    starts = np.sort(tree.estart[leaves] - sd[tree.parent[leaves]])   # 0-based
-    ends = np.minimum(starts + tree.q, tree.n)                          # half-open
+def _reference_pieces(leftmost: np.ndarray, q: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each leaf's leftmost occurrence window [p, min(p+q, n)), with
+    overlapping windows merged: the sorted starts and ends of the pieces."""
+    starts = np.sort(leftmost)
+    ends = np.minimum(starts + q, n)
     new = np.ones(len(starts), dtype=bool)
     new[1:] = starts[1:] > np.maximum.accumulate(ends)[:-1]
     head = np.flatnonzero(new)
-    p_start = starts[head]
-    p_end = np.maximum.reduceat(ends, head)
+    return starts[head], np.maximum.reduceat(ends, head)
+
+
+def reference_length(table: LeafTable) -> int:
+    """Length of the reference string ``compact_reference`` would build."""
+    p_start, p_end = _reference_pieces(table.leftmost, table.q, table.n)
+    return int((p_end - p_start).sum())
+
+
+def compact_reference(tree: TruncatedSuffixTree, t: Text) -> TruncatedSuffixTree:
+    """Rebase every leaf window onto a private reference string.
+
+    Each leaf contributes its leftmost occurrence window; overlapping windows
+    merge, the surviving pieces concatenate into the reference string, and
+    the windows are remapped.  Decoded strings are unchanged and the tree no
+    longer references the Text.
+    """
+    p_start, p_end = _reference_pieces(tree.start, tree.q, tree.n)
     p_len = p_end - p_start
     p_off = np.cumsum(p_len) - p_len
-    ref = t.arr[np.repeat(p_start - p_off, p_len) + np.arange(int(p_len.sum()))]
-
-    es = tree.estart[1:]
-    k = np.searchsorted(p_start, es, side="right") - 1
-    assert (es + tree.elen[1:] <= p_end[k]).all(), "edge window escapes its merged piece"
-    tree.estart[1:] = p_off[k] + (es - p_start[k])
-    tree.ref = ref
+    tree.ref = t.arr[np.repeat(p_start - p_off, p_len) + np.arange(int(p_len.sum()))]
+    k = np.searchsorted(p_start, tree.start, side="right") - 1
+    tree.start = p_off[k] + (tree.start - p_start[k])
     return tree

@@ -127,6 +127,27 @@ def test_query_rejects_huge_n_and_t(tmp_path, index_file):
     assert main(["query", str(bad), "--pair", "1", "2"]) == 3
 
 
+def test_query_rejects_huge_packed_word_size(tmp_path):
+    # the packed text's word size and its block code's t agree, so only the
+    # word-size bound stops the block code from sizing a 2**40 cover
+    corpus = tmp_path / "ab.bin"
+    corpus.write_bytes(b"ab" * 60)
+    path = tmp_path / "packed.lcex"
+    assert main(["build", str(corpus), "--t", "4", "--packed", "-o", str(path)]) == 0
+    blob = bytearray(path.read_bytes())
+    offs, pos = [], 8
+    while pos < len(blob):
+        offs.append(pos + 8)
+        pos += 8 + struct.unpack_from("<Q", blob, pos)[0]
+    packed = offs[5]
+    bits = struct.unpack_from("<Q", blob, packed + 33)[0]
+    for off in (packed + 16, packed + 41 + bits):
+        assert struct.unpack_from("<Q", blob, off)[0] == 64
+        struct.pack_into("<Q", blob, off, 2**40)
+    path.write_bytes(bytes(blob))
+    assert main(["query", str(path), "--pair", "1", "2"]) == 3
+
+
 def test_stats(capsys, index_file):
     assert main(["stats", index_file]) == 0
     out = capsys.readouterr().out

@@ -26,7 +26,7 @@ def test_magic_and_version():
     blob = dump_index(build_index(text, 2))
     assert blob[:4] == b"LCEX"
     version, flags = struct.unpack("<HH", blob[4:8])
-    assert version == 2
+    assert version == 3
     assert flags == 0
 
 
@@ -180,9 +180,9 @@ def test_huge_n_and_t_rejected_before_allocation():
         load_index(huge_n_t_container())
 
 
-def test_huge_n_and_t_rejected_under_address_space_limit(tmp_path):
-    path = tmp_path / "huge.lcex"
-    path.write_bytes(huge_n_t_container())
+def run_limited_load(path) -> str:
+    """Load a container file in a child process under a 1 GiB address-space
+    limit; prints FormatError when the load raises it."""
     script = (
         "import resource, sys\n"
         "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
@@ -197,14 +197,95 @@ def test_huge_n_and_t_rejected_under_address_space_limit(tmp_path):
                PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
     done = subprocess.run([sys.executable, "-c", script, str(path)], env=env,
                           capture_output=True, text=True, timeout=120)
-    assert done.stdout.strip() == "FormatError", done.stderr
+    return done.stdout.strip() or done.stderr
+
+
+def test_huge_n_and_t_rejected_under_address_space_limit(tmp_path):
+    path = tmp_path / "huge.lcex"
+    path.write_bytes(huge_n_t_container())
+    assert run_limited_load(path) == "FormatError"
+
+
+def word_size_container(word: int) -> bytes:
+    """A packed container whose word size and packed block-code t are both
+    ``word``, so that every repeat check passes."""
+    blob = dump_index(build_index(load_text(random_text(300, 4, seed=5)), 6, 3, packed=True))
+    bad = bytearray(blob)
+    struct.pack_into("<Q", bad, section_offsets(blob)[5] + 16, word)
+    struct.pack_into("<Q", bad, packed_blockcode_offset(blob), word)
+    return bytes(bad)
+
+
+@pytest.mark.parametrize("word", [0, 65, 2**40])
+def test_packed_word_size_out_of_range_rejected(word):
+    with pytest.raises(FormatError, match="1..64"):
+        load_index(word_size_container(word))
+
+
+def test_packed_huge_word_size_rejected_under_address_space_limit(tmp_path):
+    path = tmp_path / "word.lcex"
+    path.write_bytes(word_size_container(2**40))
+    assert run_limited_load(path) == "FormatError"
 
 
 def test_trie_with_fewer_than_2t_prime_leaves_rejected():
     ix = build_index(load_text(random_text(300, 4, seed=5)), 6, 3)
     load_index(dump_index(ix))
-    ix.tree.leaves = ix.tree.leaves[:5]
+    ix.tree.leaf_lcp = ix.tree.leaf_lcp[:5]
     with pytest.raises(FormatError, match="leaves"):
+        load_index(dump_index(ix))
+
+
+def _set(arr, k, value):
+    out = np.asarray(arr).astype(np.int64)
+    out[k] = value
+    return out
+
+
+def _swap(arr, a, b):
+    out = np.asarray(arr).copy()
+    out[[a, b]] = out[[b, a]]
+    return out
+
+
+# one field of a built index pushed out of the range the loader accepts
+OUT_OF_RANGE = {
+    "leaf_lcp first": lambda ix: setattr(ix.tree, "leaf_lcp", _set(ix.tree.leaf_lcp, 0, 1)),
+    "leaf_lcp at q": lambda ix: setattr(ix.tree, "leaf_lcp", _set(ix.tree.leaf_lcp, 7, 6)),
+    "leaf_lcp negative": lambda ix: setattr(ix.tree, "leaf_lcp", _set(ix.tree.leaf_lcp, 7, -1)),
+    "short leaf rank": lambda ix: setattr(
+        ix.tree, "short_leaf", _set(ix.tree.short_leaf, -1, ix.tree.leaf_count)),
+    "short leaves unsorted": lambda ix: setattr(ix.tree, "short_leaf", _swap(ix.tree.short_leaf, 0, 1)),
+    "short depth zero": lambda ix: setattr(ix.tree, "short_depth", _set(ix.tree.short_depth, 0, 0)),
+    "short depth at q": lambda ix: setattr(ix.tree, "short_depth", _set(ix.tree.short_depth, 0, 6)),
+    "short depth missing": lambda ix: setattr(ix.tree, "short_depth", ix.tree.short_depth[1:]),
+    "alphabet unsorted": lambda ix: setattr(ix.tree, "alphabet", _swap(ix.tree.alphabet, 0, 1)),
+    "alphabet short": lambda ix: setattr(ix.tree, "alphabet", ix.tree.alphabet[1:]),
+    "nav parent": lambda ix: setattr(ix.nav, "parent", _set(ix.nav.parent, 3, ix.tree.leaf_count)),
+    "nav parent negative": lambda ix: setattr(ix.nav, "parent", _set(ix.nav.parent, 3, -1)),
+    "nav parent length": lambda ix: setattr(ix.nav, "parent", ix.nav.parent[:-1]),
+    "nav root": lambda ix: setattr(ix.nav, "root", ix.tree.leaf_count),
+    "nav root not the sentinel": lambda ix: setattr(ix.nav, "root", (ix.nav.root + 1) % 50),
+    "last sampled not the sentinel": lambda ix: ix.nav.sampled.__setitem__(-1, 1),
+    "sampled": lambda ix: ix.nav.sampled.__setitem__(2, ix.tree.leaf_count),
+    "sampled negative": lambda ix: ix.nav.sampled.__setitem__(2, -1),
+    "isa repeated": lambda ix: setattr(ix.bc, "isa", _set(ix.bc.isa, 0, ix.bc.isa[1])),
+    "isa past code": lambda ix: setattr(ix.bc, "isa", _set(ix.bc.isa, 0, ix.bc.code_len)),
+    "lcp past code": lambda ix: setattr(ix.bc, "lcp", _set(ix.bc.lcp, 4, ix.bc.code_len)),
+    "lcp negative": lambda ix: setattr(ix.bc, "lcp", _set(ix.bc.lcp, 4, -1)),
+    "packed isa": lambda ix: setattr(ix.packed.bc, "isa", _set(ix.packed.bc.isa, 0, -1)),
+    "packed lcp": lambda ix: setattr(
+        ix.packed.bc, "lcp", _set(ix.packed.bc.lcp, 4, ix.packed.bc.code_len)),
+    "packed bits": lambda ix: setattr(ix.packed.pt, "bits", ix.packed.pt.bits[:-1]),
+}
+
+
+@pytest.mark.parametrize("field", sorted(OUT_OF_RANGE))
+def test_out_of_range_field_rejected(field):
+    ix = build_index(load_text(random_text(300, 4, seed=5)), 6, 3, packed=True)
+    load_index(dump_index(ix))
+    OUT_OF_RANGE[field](ix)
+    with pytest.raises(FormatError, match="range"):
         load_index(dump_index(ix))
 
 
@@ -216,13 +297,15 @@ def test_loaded_index_keeps_only_query_state():
     parts = {"tree": ix.tree, "nav": ix.nav, "bc": ix.bc, "packed.bc": ix.packed.bc}
     lists = {f"{name}.{attr}" for name, obj in parts.items()
              for attr, v in vars(obj).items() if isinstance(v, list)}
-    assert lists == {"tree.sdepth", "tree.leaves", "nav.sampled", "bc._isa_list",
-                     "packed.bc._isa_list"}
+    assert lists == {"nav.sampled", "bc._isa_list", "packed.bc._isa_list"}
     for bc in (ix.bc, ix.packed.bc):
         assert not hasattr(bc, "code") and not hasattr(bc, "sa")
-    for arr in (ix.tree.parent, ix.tree.estart, ix.tree.elen, ix.tree.leaf_lcp,
-                ix.nav.parent):
+    for attr in ("parent", "leaves", "start", "ref"):
+        assert not hasattr(ix.tree, attr)
+    for arr in (ix.tree.leaf_lcp, ix.tree.short_leaf, ix.tree.short_depth,
+                ix.tree.alphabet, ix.nav.parent):
         assert isinstance(arr, np.ndarray)
+    assert ix.tree.nav_parent is ix.nav.parent
 
 
 def test_file_roundtrip(tmp_path):

@@ -221,7 +221,7 @@ def test_space_report_formula():
     st_ = ix.space_report()
     assert st_.estimated_words == estimated_words(
         st_.tst_nodes, st_.tst_ref_len, st_.nav_nodes, st_.sampled_count, st_.code_len)
-    assert st_.tst_nodes == ix.tree.node_count
+    assert st_.tst_nodes == ix.tree.node_count == build_tst(text, 16).node_count
     assert st_.code_len == ix.bc.code_len
     assert st_.n == text.n and st_.t == 8 and st_.t_prime == 8
 

@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -48,21 +49,20 @@ def test_leaves_sorted_strictly():
 def test_position_completeness():
     t = load_text(FIG_W)
     tree = build_tst(t, 5)
-    syms = t.symbols()
-    s = bytes(syms)
+    s = bytes(t.symbols())
     for i in range(1, t.n + 1):
-        leaf = tree.descend_suffix(syms[i - 1 :])
-        assert leaf is not None
-        g = tree.leaves.index(leaf)
+        g = int(tree.leaf_of_pos[i - 1])
         assert bytes(tree.leaf_string(g)) == s[i - 1 : min(i - 1 + 5, t.n)]
 
 
 def test_internal_nodes_branching():
     t = load_text(FIG_W)
     tree = build_tst(t, 5)
-    for v in range(tree.node_count):
-        if tree.children[v]:
-            assert len(tree.children[v]) >= 2
+    kids = np.bincount(tree.parent[1:], minlength=tree.node_count)
+    leaves = np.zeros(tree.node_count, dtype=bool)
+    leaves[tree.leaves] = True
+    assert (kids[~leaves] >= 2).all()
+    assert (kids[leaves] == 0).all()
 
 
 def test_lca_matches_naive_scan():
@@ -136,8 +136,6 @@ def test_compact_fibonacci():
 
 
 def test_compact_releases_text_array():
-    import numpy as np
-
     t = load_text(FIG_W)
     tree = build_tst(t, 5)
     assert np.shares_memory(tree.ref, t.arr)
