@@ -46,7 +46,7 @@ def short_lce_batch(ix: LceIndex, I: np.ndarray, J: np.ndarray) -> np.ndarray:
     val = tree.tour_sparse.query_batch(lo, hi).astype(np.int64)
     same = u == v
     if same.any():
-        val[same] = tree.depth_batch(u[same])
+        val[same] = tree.depth[u[same]]
     return np.minimum(val, tp)
 
 

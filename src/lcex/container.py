@@ -156,7 +156,8 @@ def _read_blockcode(r: _Reader, t: int, n: int, t_max: int | None = None):
     m = cover.code_len
     if not len(isa) == len(lcp) == m:
         raise FormatError("block code length does not match its cover")
-    _check("block code isa", _within(isa, 0, m) and (np.bincount(isa, minlength=m) == 1).all())
+    # m entries in 0..m-1 with none repeated are a permutation
+    _check("block code isa", _within(isa, 0, m) and np.bincount(isa).max(initial=0) <= 1)
     _check("block code lcp", _within(lcp, 0, m))
     return BlockCode(cover, isa, lcp)
 
@@ -232,7 +233,7 @@ def load_index(data: bytes):
     version, flags = struct.unpack("<HH", data[4:8])
     if version != VERSION:
         raise FormatError(f"unsupported version {version}")
-    body = _Reader(data[8:])
+    body = _Reader(memoryview(data)[8:])   # sections are zero-copy slices
 
     r = body.section()
     n, t, t_prime, sigma, sentinel = (r.u64() for _ in range(5))
@@ -272,9 +273,8 @@ def load_index(data: bytes):
     if len(sampled) != -(-n // t_prime):
         raise FormatError(f"{len(sampled)} sampled positions, but n={n} and t'={t_prime} "
                           f"need {-(-n // t_prime)}")
-    _check("navigation parents", len(parent) == leaves and _within(parent, 0, leaves))
-    _check("navigation root", root < leaves)
-    _check("sampled leaves", _within(sampled, 0, leaves))
+    _check("navigation tree", len(parent) == leaves and _within(parent, 0, leaves)
+           and root < leaves and _within(sampled, 0, leaves))
     nav = NavTree(t=nav_t, n=nav_n, parent=parent, root=root, sampled=sampled.tolist())
     # the unique sentinel is the root: a depth-1 leaf, its own parent, and
     # the leaf at position n

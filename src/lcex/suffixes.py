@@ -164,15 +164,16 @@ class SparseMin:
         self.size = len(vals)
         self.log2 = log2_table(max(1, self.size))
         levels = 1 if self.size <= 1 else int(self.log2[self.size]) + 1
-        # level k fills only its first size - 2^k + 1 cells; the zeroed tail
-        # keeps a query past them deterministic
-        table = np.zeros((levels, self.size), dtype=np.int32)
+        table = np.empty((levels, self.size), dtype=np.int32)
         if self.size:
             table[0] = vals
         for k in range(1, levels):
             half = 1 << (k - 1)
             m = self.size - (1 << k) + 1
             np.minimum(table[k - 1, :m], table[k - 1, half : half + m], out=table[k, :m])
+            # a rank past the minima, as a corrupt container can give, reads
+            # zeros, not whatever memory the allocator handed back
+            table[k, m:] = 0
         self.table = table
         self._flat = memoryview(table.reshape(-1))
 

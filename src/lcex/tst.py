@@ -38,7 +38,10 @@ class LeafTable:
         self.short_leaf = short_leaf
         self.short_depth = short_depth
         self.alphabet = alphabet
-        self._short = dict(zip(short_leaf.tolist(), short_depth.tolist()))
+        # every leaf's depth; the scalar path reads a zero-copy memoryview
+        self.depth = np.full(len(leaf_lcp), q, dtype=np.min_scalar_type(q))
+        self.depth[short_leaf] = short_depth
+        self._depth = memoryview(self.depth)
         # range minimum over leaf_lcp: the LCA depth of two leaves (the name
         # predates it; perfbench/worker.py reads the attribute)
         self.tour_sparse = SparseMin(leaf_lcp)
@@ -68,11 +71,6 @@ class LeafTable:
         joined[gap] = self.tour_sparse.query_batch(prev[gap] + 1, g[gap] - 1) > h[g[gap]]
         return len(h) + 1 + int(np.count_nonzero(h)) - int(np.count_nonzero(joined))
 
-    def depth_batch(self, g: np.ndarray) -> np.ndarray:
-        """Leaf depths; needs at least one short leaf, as any q >= 2 has."""
-        k = np.minimum(np.searchsorted(self.short_leaf, g), len(self.short_leaf) - 1)
-        return np.where(self.short_leaf[k] == g, self.short_depth[k], self.q)
-
     @cached_property
     def _decoder(self) -> tuple[list[int], list[int]]:
         # the first symbol changes exactly where adjacent leaves share nothing
@@ -84,7 +82,7 @@ class LeafTable:
         so the string is first(g), first(p(g)), first(p(p(g))), ..."""
         first, parent = self._decoder
         out = []
-        for _ in range(self._short.get(g, self.q)):
+        for _ in range(self._depth[g]):
             out.append(first[g])
             g = parent[g]
         return out
@@ -97,7 +95,7 @@ class LeafTable:
         LCP-interval view of the trie); a leaf with itself is its full depth.
         """
         if leaf_a == leaf_b:
-            return self._short.get(leaf_a, self.q)
+            return self._depth[leaf_a]
         if leaf_a > leaf_b:
             leaf_a, leaf_b = leaf_b, leaf_a
         return self.tour_sparse.query(leaf_a + 1, leaf_b)
@@ -147,7 +145,7 @@ class TruncatedSuffixTree(LeafTable):
 
     def leaf_string(self, g: int) -> list[int]:
         s = int(self.start[g])
-        return self.ref[s : s + self._short.get(g, self.q)].tolist()
+        return self.ref[s : s + self._depth[g]].tolist()
 
 
 def build_tst(t: Text, q: int) -> TruncatedSuffixTree:
@@ -158,13 +156,11 @@ def build_tst(t: Text, q: int) -> TruncatedSuffixTree:
     leaf windows reference the Text until ``compact_reference`` rebases them.
     """
     table = build_leaf_table(t, q)
-    depth = np.full(table.leaf_count, q, dtype=np.int64)
-    depth[table.short_leaf] = table.short_depth
     parent = [-1]
     sdepth = [0]
     leaves = []
     stack = [0]
-    for h, length in zip(table.leaf_lcp.tolist(), depth.tolist()):
+    for h, length in zip(table.leaf_lcp.tolist(), table.depth.tolist()):
         last = -1
         while sdepth[stack[-1]] > h:
             last = stack.pop()

@@ -209,6 +209,20 @@ def test_sparse_min_batch():
     assert (got == want).all()
 
 
+def test_sparse_min_past_a_level_is_deterministic():
+    # level k over m values holds m - 2^k + 1 minima; a rank past them, as a
+    # corrupt container can give, reads the rest of the row, which must not
+    # hold whatever memory the allocator handed back
+    vals = np.arange(10, 0, -1)
+    got = set()
+    for fill in range(1, 20):
+        junk = np.full((4, 10), fill, dtype=np.int32)
+        del junk
+        rmq = SparseMin(vals)
+        got.add((rmq.query(5, 12), int(rmq.query_batch(np.array([5]), np.array([12]))[0])))
+    assert len(got) == 1
+
+
 def test_log2_table_around_powers_of_two():
     from lcex.suffixes import log2_table
 
