@@ -255,7 +255,8 @@ OUT_OF_RANGE = {
     "leaf_lcp negative": lambda ix: setattr(ix.tree, "leaf_lcp", _set(ix.tree.leaf_lcp, 7, -1)),
     "short leaf rank": lambda ix: setattr(
         ix.tree, "short_leaf", _set(ix.tree.short_leaf, -1, ix.tree.leaf_count)),
-    "short leaves unsorted": lambda ix: setattr(ix.tree, "short_leaf", _swap(ix.tree.short_leaf, 0, 1)),
+    "short leaves unsorted": lambda ix: setattr(
+        ix.tree, "short_leaf", _swap(ix.tree.short_leaf, -2, -1)),
     "short depth zero": lambda ix: setattr(ix.tree, "short_depth", _set(ix.tree.short_depth, 0, 0)),
     "short depth at q": lambda ix: setattr(ix.tree, "short_depth", _set(ix.tree.short_depth, 0, 6)),
     "short depth missing": lambda ix: setattr(ix.tree, "short_depth", ix.tree.short_depth[1:]),
