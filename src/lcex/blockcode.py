@@ -53,7 +53,8 @@ class BlockCode:
         self.isa = isa
         self.lcp = lcp
         self.rmq = SparseMin(lcp)
-        self._isa_list = isa.tolist()
+        # the scalar path reads Python ints from a zero-copy view
+        self._isa_view = memoryview(isa)
 
     @property
     def code_len(self) -> int:
@@ -77,8 +78,8 @@ class BlockCode:
         if i + t - 1 > n or j + t - 1 > n:
             return 0
         first, start = cov._first_pos, cov._seg_start
-        a = self._isa_list[start[ri] + (i - first[ri]) // t]
-        b = self._isa_list[start[rj] + (j - first[rj]) // t]
+        a = self._isa_view[start[ri] + (i - first[ri]) // t]
+        b = self._isa_view[start[rj] + (j - first[rj]) // t]
         if a > b:
             a, b = b, a
         return self.rmq.query(a + 1, b)

@@ -1,6 +1,6 @@
 """Versioned binary container for a built index.
 
-Layout (version 3): magic "LCEX", version u16, flags u16, then
+Layout (version 4): magic "LCEX", version u16, flags u16, then
 length-prefixed sections in fixed order, holding only what a query or the
 leaf-string decoder reads:
 
@@ -10,7 +10,10 @@ leaf-string decoder reads:
   through the navigation parents);
 - navtree: t', n, parent (the root is its own parent), root, sampled;
 - blockcode: t, n, and the isa and lcp of code(w) (neither code(w) nor its
-  suffix array);
+  suffix array).  The difference cover is implied by t: version 4 lays
+  code(w) out over the Wichmann-ruler cover, so a version 3 block code of
+  the same length means a different layout and is rejected with its
+  version;
 - stats: the SpaceStats fields;
 - packed, when flag bit 0 is set: the packed text, then its bit block code
   laid out as in blockcode.
@@ -35,7 +38,7 @@ import numpy as np
 from .errors import FormatError
 
 MAGIC = b"LCEX"
-VERSION = 3
+VERSION = 4
 FLAG_PACKED = 1
 
 _DTYPES = {

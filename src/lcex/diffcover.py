@@ -3,14 +3,14 @@ alignment offset h(i, j)."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
 # Hand-verified minimal covers for small moduli.  Every entry is checked for
-# the coverage identity at build time; larger moduli use the block
+# the coverage identity at build time; larger moduli use the Wichmann-ruler
 # construction below.  The t=5 entry is the classic perfect cover {1,2,4}.
 _SMALL_COVERS = {
     1: (0,),
@@ -26,19 +26,30 @@ _SMALL_COVERS = {
 }
 
 
-def _block_cover(t: int) -> tuple[int, ...]:
-    """Residues {0..r-1} plus multiples of r (mod t), r = ceil(sqrt(t)).
+def _wichmann_cover(t: int) -> tuple[int, ...]:
+    """Marks of a Wichmann ruler of length >= floor(t/2), reduced mod t.
 
-    For any d, some multiple of r lands in [d..d+r-1]; subtracting a small
-    residue reaches d, so differences cover Z_t with |D| <= 3*sqrt(t).
+    For r, s >= 0 the ruler with gaps 1^r, r+1, (2r+1)^r, (4r+3)^s,
+    (2r+2)^(r+1), 1^r has 4r+s+3 marks and length L = 4r(r+s+2) + 3(s+1),
+    and measures every distance 0..L (Wichmann 1963).  Every d in Z_t has d
+    or t-d in 0..floor(t/2), so once L >= floor(t/2) the marks mod t are a
+    t-difference cover.  The (r, s) with the fewest marks, the smallest r on
+    a tie, gives |D| <= ceil(sqrt(1.5 t)) + 3 for t >= 16 (Colbourn & Ling
+    2000), about two thirds of a sqrt(t)-spaced block cover.
     """
-    r = math.isqrt(t - 1) + 1 if t > 1 else 1
-    members = set(range(r))
-    k = 0
-    while k * r <= t + r:
-        members.add((k * r) % t)
-        k += 1
-    return tuple(sorted(members))
+    half = t // 2
+    best = None
+    r = 0
+    while best is None or 4 * r + 3 < best[0]:
+        # the fewest (4r+3)-gaps that stretch the ruler to half
+        s = max(0, -(-(half - 4 * r * (r + 2) - 3) // (4 * r + 3)))
+        if best is None or 4 * r + s + 3 < best[0]:
+            best = (4 * r + s + 3, r, s)
+        r += 1
+    _, r, s = best
+    gaps = ([1] * r + [r + 1] + [2 * r + 1] * r + [4 * r + 3] * s
+            + [2 * r + 2] * (r + 1) + [1] * r)
+    return tuple(sorted({x % t for x in accumulate(gaps, initial=0)}))
 
 
 @dataclass
@@ -72,7 +83,7 @@ def build_difference_cover(t: int) -> DifferenceCover:
     """Deterministic t-difference-cover with a fully populated hdelta table."""
     if t < 1:
         raise ValueError("modulus must be >= 1")
-    members = _SMALL_COVERS.get(t) or _block_cover(t)
+    members = _SMALL_COVERS.get(t) or _wichmann_cover(t)
     in_d = [False] * t
     for x in members:
         in_d[x] = True

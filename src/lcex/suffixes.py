@@ -156,15 +156,22 @@ class SparseMin:
     """Static range-minimum over an integer array; O(1) value queries.
 
     Batch queries gather from the numpy table; scalar queries read a
-    zero-copy memoryview of it, which avoids per-element numpy boxing.
+    zero-copy memoryview of it, which avoids per-element numpy boxing.  The
+    table takes the narrowest unsigned dtype that holds non-negative values
+    (leaf LCPs fit uint8, a block code's LCPs mostly uint16), else int32;
+    batch callers cast the minima before doing arithmetic on them.
     """
 
     def __init__(self, values: np.ndarray):
-        vals = np.asarray(values, dtype=np.int32)
+        vals = np.asarray(values)
         self.size = len(vals)
+        dtype = np.int32
+        if self.size and int(vals.min()) >= 0:
+            top = int(vals.max())
+            dtype = np.uint8 if top < 1 << 8 else np.uint16 if top < 1 << 16 else np.uint32
         self.log2 = log2_table(max(1, self.size))
         levels = 1 if self.size <= 1 else int(self.log2[self.size]) + 1
-        table = np.empty((levels, self.size), dtype=np.int32)
+        table = np.empty((levels, self.size), dtype=dtype)
         if self.size:
             table[0] = vals
         for k in range(1, levels):

@@ -97,6 +97,14 @@ def test_query_rejects_version_1_container(tmp_path, index_file):
     assert main(["query", str(bad), "--pair", "1", "2"]) == 3
 
 
+def test_query_rejects_version_3_container(tmp_path, index_file):
+    bad = tmp_path / "v3.lcex"
+    with open(index_file, "rb") as fh:
+        blob = fh.read()
+    bad.write_bytes(blob[:4] + struct.pack("<H", 3) + blob[6:])
+    assert main(["query", str(bad), "--pair", "1", "2"]) == 3
+
+
 def test_query_rejects_flipped_blockcode_t(tmp_path, index_file):
     with open(index_file, "rb") as fh:
         blob = bytearray(fh.read())

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lcex.diffcover import build_cover_index, build_difference_cover
+from lcex.diffcover import _SMALL_COVERS, _wichmann_cover, build_cover_index, build_difference_cover
 
 TESTED_T = sorted(set(list(range(1, 130)) + [256, 333, 512, 1024, 4096]))
 
@@ -118,3 +118,56 @@ def test_in_cover_matches_residues(t, n, data):
     cover = build_cover_index(dc, n)
     i = data.draw(st.integers(1, n))
     assert cover.in_cover(i) == ((i % t) in set(dc.members))
+
+
+def _sqrt_block_cover(t: int) -> tuple[int, ...]:
+    """The previous construction, kept as a size reference: residues
+    0..r-1 plus the multiples of r = ceil(sqrt(t)), mod t."""
+    r = math.isqrt(t - 1) + 1 if t > 1 else 1
+    members = set(range(r))
+    k = 0
+    while k * r <= t + r:
+        members.add((k * r) % t)
+        k += 1
+    return tuple(sorted(members))
+
+
+def _covers(t: int, members: tuple) -> bool:
+    """Sorted distinct residues whose differences, one numpy table, hit Z_t."""
+    d = np.asarray(members, dtype=np.int64)
+    if list(members) != sorted(set(members)) or not 0 <= d[0] <= d[-1] < t:
+        return False
+    return np.unique((d[:, None] - d[None, :]) % t).size == t
+
+
+def _members(t: int) -> tuple:
+    """build_difference_cover(t).members without its hdelta table and cache,
+    which would take half a minute and 100 MB over t <= 5000."""
+    return _SMALL_COVERS.get(t) or _wichmann_cover(t)
+
+
+def test_wichmann_covers_every_modulus_up_to_5000():
+    assert all(_members(t) == build_difference_cover(t).members for t in (10, 16, 64, 999))
+    bad = [t for t in range(1, 5001) if not _covers(t, _wichmann_cover(t))]
+    assert bad == []
+
+
+def test_wichmann_cover_size():
+    over = [t for t in range(16, 5001)
+            if len(_members(t)) > math.ceil(math.sqrt(1.5 * t)) + 3]
+    assert over == []
+    assert [len(build_difference_cover(t).members) for t in (16, 32, 64)] == [5, 8, 10]
+
+
+def test_wichmann_cover_members_pinned():
+    # container v4 lays code(w) out over these residues; any other cover of
+    # the same t, even one as small, would misread stored block codes
+    assert build_difference_cover(10).members == (0, 1, 4, 6)
+    assert build_difference_cover(16).members == (0, 1, 4, 7, 9)
+    assert build_difference_cover(32).members == (0, 1, 4, 7, 10, 13, 16, 18)
+    assert build_difference_cover(64).members == (0, 1, 3, 6, 13, 20, 27, 31, 35, 36)
+
+
+def test_wichmann_cover_never_larger_than_sqrt_blocks():
+    larger = [t for t in range(1, 5001) if len(_members(t)) > len(_sqrt_block_cover(t))]
+    assert larger == []

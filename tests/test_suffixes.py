@@ -209,6 +209,27 @@ def test_sparse_min_batch():
     assert (got == want).all()
 
 
+@pytest.mark.parametrize("values,dtype", [
+    ([0, 255, 3, 254, 255, 1, 255], np.uint8),
+    ([256, 0, 255, 256, 7, 1], np.uint16),
+    ([65535, 2, 65534, 65535, 0, 9], np.uint16),
+    ([65536, 65535, 0, 65534, 3, 65536], np.uint32),
+    ([-1, 255, 256, -300, 65536, 4], np.int32),
+    ([-128, 127, 0, -1], np.int32),
+    ([2**31 - 1, 0, 2**31 - 2, 5], np.uint32),
+])
+def test_sparse_min_narrow_table_matches_int32(values, dtype):
+    vals = np.array(values, dtype=np.int64)
+    rmq = SparseMin(vals)
+    assert rmq.table.dtype == dtype
+    ref = vals.astype(np.int32)
+    lo, hi = np.triu_indices(len(vals))
+    want = [int(ref[a : b + 1].min()) for a, b in zip(lo, hi)]
+    assert [rmq.query(int(a), int(b)) for a, b in zip(lo, hi)] == want
+    got = rmq.query_batch(lo.astype(np.int64), hi.astype(np.int64))
+    assert got.astype(np.int64).tolist() == want
+
+
 def test_sparse_min_past_a_level_is_deterministic():
     # level k over m values holds m - 2^k + 1 minima; a rank past them, as a
     # corrupt container can give, reads the rest of the row, which must not
