@@ -4,9 +4,8 @@ Every step of the scalar decomposition is a gather: leaf location walks the
 lifting table bit by bit, the LCA depth is one sparse-table lookup over the
 adjacent-leaf LCPs between the two leaf ranks, and the block-code reduction
 is arithmetic plus one more lookup.
-Lanes that reach the boundary fallback or a chained capped call iterate under
-a shrinking mask; iteration counts carry the same O(1) bounds as the scalar
-code.
+Lanes in a chained capped call iterate under a shrinking mask; iteration
+counts carry the same O(1) bounds as the scalar code.
 """
 
 from __future__ import annotations
@@ -96,24 +95,8 @@ def lce_batch(ix: LceIndex, I: np.ndarray, J: np.ndarray) -> np.ndarray:
     if not len(rest):
         return ans
 
-    near = np.maximum(I[rest], J[rest]) > n - 2 * t - 1
-    fall = rest[near]
-    main = rest[~near]
-
-    if len(main):
-        Im, Jm = I[main], J[main]
-        dc = ix.bc.cover.dc
-        hdelta = getattr(ix, "_hdelta_np", None)
-        if hdelta is None:
-            hdelta = np.asarray(dc.hdelta, dtype=np.int64)
-            ix._hdelta_np = hdelta
-        delta = (hdelta[(Jm - Im) % t] - Im) % t
-        l2 = ix.bc.long_lce_batch(Im + delta, Jm + delta)
-        s = delta + t * l2
-        ans[main] = s + short_chain_batch(ix, Im + s, Jm + s, t)
-
-    if len(fall):
-        # t-capped chains repeated while they return t form one uncapped chain
-        ans[fall] = t + short_chain_batch(ix, I[fall] + t, J[fall] + t, n)
-
+    Ir, Jr = I[rest], J[rest]
+    delta = (ix.bc.cover.dc.hdelta[(Jr - Ir) % t] - Ir) % t
+    s = delta + t * ix.bc.long_lce_batch(Ir + delta, Jr + delta)
+    ans[rest] = s + short_chain_batch(ix, Ir + s, Jr + s, t)
     return ans

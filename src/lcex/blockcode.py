@@ -85,8 +85,11 @@ class BlockCode:
         return self.rmq.query(a + 1, b)
 
     def long_lce_batch(self, I: np.ndarray, J: np.ndarray) -> np.ndarray:
-        """Vectorized floor(LCE/t); callers must pass distinct cover positions
-        with defined blocks."""
+        """Vectorized ``long_lce`` for distinct cover positions: 0 for lanes
+        whose block runs past the text, floor(LCE/t) for the rest."""
+        out = np.zeros(len(I), dtype=np.int64)
+        fits = np.maximum(I, J) <= self.n - self.t + 1
+        I, J = I[fits], J[fits]
         cov = self.cover
         ri = cov.residue_index[I % self.t]
         rj = cov.residue_index[J % self.t]
@@ -94,9 +97,8 @@ class BlockCode:
         cj = cov.seg_start[rj] + (J - cov.first_pos[rj]) // self.t
         a = self.isa[ci]
         b = self.isa[cj]
-        lo = np.minimum(a, b)
-        hi = np.maximum(a, b)
-        return self.rmq.query_batch(lo + 1, hi).astype(np.int64)
+        out[fits] = self.rmq.query_batch(np.minimum(a, b) + 1, np.maximum(a, b))
+        return out
 
 
 def assemble_code(ranks: np.ndarray, cover: CoverIndex) -> np.ndarray:

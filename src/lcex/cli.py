@@ -188,15 +188,16 @@ def cmd_selftest(args) -> int:
         table = naive_lce_table(text)
         I, J = np.meshgrid(np.arange(1, n + 1), np.arange(1, n + 1))
         I, J = I.ravel(), J.ravel()
-        for t in (1, 2, 3, 5, 8):
-            ix = build_index(text, t)
+        # t' = 1 chains t capped trie calls per capped check
+        for t, tp in [(1, 1), (2, 1), (2, 2), (3, 1), (3, 3), (5, 1), (5, 5), (8, 1), (8, 8)]:
+            ix = build_index(text, t, tp)
             ok = bool((lce_batch(ix, I, J) == table[I, J]).all())
             spot = all(ix.lce(i, j) == int(table[i, j])
                        for i, j in [(rng.randint(1, n), rng.randint(1, n)) for _ in range(64)])
             status = "PASS" if ok and spot else "FAIL"
             if status == "FAIL":
                 failures += 1
-            print(f"{status} corpus={raw[:12]!r} n={n} t={t}")
+            print(f"{status} corpus={raw[:12]!r} n={n} t={t} t'={tp}")
     return 1 if failures else 0
 
 

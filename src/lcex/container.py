@@ -146,22 +146,37 @@ def _within(arr: np.ndarray, lo: int, hi: int) -> bool:
     return not len(arr) or (lo <= int(arr.min()) and int(arr.max()) < hi)
 
 
-def _read_blockcode(r: _Reader, t: int, n: int, t_max: int | None = None):
+def _read_blockcode(r: _Reader, t: int, n: int, packed: bool = False):
     from .blockcode import BlockCode
     from .diffcover import build_cover_index, build_difference_cover
 
     _expect("block code (t, n)", (r.u64(), r.u64()), (t, n))
-    if t_max is not None and not 1 <= t <= t_max:
-        raise FormatError(f"block length {t} not in 1..{t_max}")
-    isa = r.array().astype(np.int64)
+    if packed and not 1 <= t <= 64:
+        raise FormatError(f"block length {t} not in 1..64")
+    isa = r.array()
     lcp = r.array()
     cover = build_cover_index(build_difference_cover(t), n)
     m = cover.code_len
     if not len(isa) == len(lcp) == m:
         raise FormatError("block code length does not match its cover")
-    # m entries in 0..m-1 with none repeated are a permutation
-    _check("block code isa", _within(isa, 0, m) and np.bincount(isa).max(initial=0) <= 1)
-    _check("block code lcp", _within(lcp, 0, m))
+    _check("block code isa", _within(isa, 0, m))
+    # a common prefix of two code suffixes ends at a separator, and before the
+    # block of a text's unique sentinel: rem[c] blocks from slot c at most.
+    # Two int32 buffers serve every step: fresh pages dominate a cold load
+    dt = np.int32 if m < 2**31 else np.int64
+    has = cover.seg_len > 0
+    rem = np.repeat((cover.seg_start + cover.seg_len)[has].astype(dt), cover.seg_len[has] + 1)
+    by_rank = np.arange(m, dtype=dt)
+    rem -= by_rank
+    if not packed and cover.in_cover(n - t + 1):
+        c = cover.pos_in_code(n - t + 1)
+        rem[c - cover.seg_rank(n - t + 1):c + 1] -= 1
+    # rem in suffix order; a slot no isa entry fills keeps -1, below every lcp
+    # entry, so the bound also makes isa a permutation
+    by_rank.fill(-1)
+    by_rank[isa] = rem
+    np.minimum(by_rank[:-1], by_rank[1:], out=rem[:-1])
+    _check("block code isa and lcp", _within(lcp, 0, m) and (lcp[1:] <= rem[:-1]).all())
     return BlockCode(cover, isa, lcp)
 
 
@@ -313,7 +328,7 @@ def load_index(data: bytes):
         _expect("packed text (n, b, nbits)", (pn, b, nbits), (n, sym_bits, n * sym_bits))
         bits = r.array().tobytes()
         _check("packed text length", len(bits) == -(-nbits // 8) + _PAD)
-        pbc = _read_blockcode(r, word, nbits, 64)
+        pbc = _read_blockcode(r, word, nbits, packed=True)
         r.end()
         pt = PackedText(bits=bits, b=b, n=pn, word_size=word, nbits=nbits)
         packed_obj = PackedLce(pt=pt, bc=pbc)

@@ -62,15 +62,18 @@ class DifferenceCover:
 
     t: int
     members: tuple
-    hdelta: list = field(repr=False)
+    hdelta: np.ndarray = field(repr=False)   # int64; h reads it through a memoryview
+
+    def __post_init__(self):
+        self._hdelta = memoryview(self.hdelta)
 
     def h(self, i: int, j: int) -> int:
         """Offset delta in [0..t-1] with i+delta and j+delta both in S(t).
 
-        Callers must keep i, j <= n-t so the shifted positions stay in range.
+        Callers keep i, j <= n-t+1, so the shifted positions stay in [1..n].
         """
         t = self.t
-        return (self.hdelta[(j - i) % t] - i) % t
+        return (self._hdelta[(j - i) % t] - i) % t
 
     def member_mask(self) -> np.ndarray:
         mask = np.zeros(self.t, dtype=bool)
@@ -80,21 +83,17 @@ class DifferenceCover:
 
 @lru_cache(maxsize=None)
 def build_difference_cover(t: int) -> DifferenceCover:
-    """Deterministic t-difference-cover with a fully populated hdelta table."""
+    """Deterministic t-difference-cover with a fully populated hdelta table,
+    in O(|D|^2 + t): the smallest x over the pairs (x, y) of each difference
+    (y - x) mod t."""
     if t < 1:
         raise ValueError("modulus must be >= 1")
     members = _SMALL_COVERS.get(t) or _wichmann_cover(t)
-    in_d = [False] * t
-    for x in members:
-        in_d[x] = True
-    hdelta = [-1] * t
-    for d in range(t):
-        for x in members:
-            if in_d[(x + d) % t]:
-                hdelta[d] = x
-                break
-        if hdelta[d] < 0:
-            raise AssertionError(f"residue {d} not covered for t={t}")
+    d = np.asarray(members, dtype=np.int64)
+    hdelta = np.full(t, t, dtype=np.int64)
+    np.minimum.at(hdelta, ((d[None, :] - d[:, None]) % t).ravel(), np.repeat(d, len(d)))
+    if hdelta.max() == t:
+        raise AssertionError(f"residue {int(hdelta.argmax())} not covered for t={t}")
     return DifferenceCover(t=t, members=tuple(members), hdelta=hdelta)
 
 

@@ -2,10 +2,10 @@
 
 A query decomposes as delta + t*l2 + l3: a capped prefix check aligns both
 positions onto the cover via the O(1) offset h, the block code supplies the
-whole-block run l2, and one more capped check finishes the remainder.  Near
-the text boundary the capped check simply chains, which stays O(1) because
-fewer than 2t+2 characters can remain there.  ``_compose`` is the one scalar
-copy of this composition.
+whole-block run l2, and one more capped check finishes the remainder.  Every
+pair takes this path: the sentinel at n is unique, so l1 = t puts both
+positions at or below n-t, and a block that runs past the text counts 0.
+``_compose`` is the one scalar copy of this composition.
 """
 
 from __future__ import annotations
@@ -58,19 +58,18 @@ def _compose(n: int, t: int, capped, bc: _bc.BlockCode, i: int, j: int) -> int:
     """LCE(i, j) for in-range i, j over n positions, from a min(LCE, t)
     primitive ``capped`` and the block code ``bc`` of block length t, which
     only the block path reads.  ``LceIndex.lce``, ``lce_instrumented`` and
-    ``packed.bit_lce`` all answer through it."""
+    ``packed.bit_lce`` all answer through it.
+
+    l1 = t puts i, j <= n-t+1 (n-t behind a text's unique sentinel), so
+    i+delta, j+delta <= n, and ``long_lce`` counts 0 for a block past the
+    text.  The last capped call starts at i+s <= i+LCE: at most n on a text,
+    n+1 on the bit string, whose capped check returns 0 there.
+    """
     if i == j:
         return n - i + 1
     l1 = capped(i, j)
     if l1 < t:
         return l1
-    if max(i, j) > n - 2 * t - 1:
-        s = l1
-        while True:
-            r = capped(i + s, j + s)
-            s += r
-            if r < t:
-                return s
     delta = bc.cover.dc.h(i, j)
     l2 = bc.long_lce(i + delta, j + delta)
     s = delta + t * l2

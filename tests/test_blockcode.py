@@ -9,7 +9,7 @@ from lcex.diffcover import build_cover_index, build_difference_cover
 from lcex.oracle import naive_lce
 from lcex.textstore import load_text
 
-from conftest import FIG_W
+from conftest import FIG_W, fib_word, random_text
 
 
 def make(raw, t):
@@ -193,3 +193,21 @@ def test_long_lce_random(raw, t, data):
             assert bc.long_lce(i, i) == (text.n - i + 1) // t
         else:
             assert bc.long_lce(i, j) == naive_lce(text, i, j) // t
+
+
+@pytest.mark.parametrize("raw,t", [(fib_word(200), 8), (b"ab" * 40, 5),
+                                   (random_text(150, 3, seed=4), 13), (b"a" * 50, 4),
+                                   (fib_word(25), 16), (b"a" * 29, 16), (b"a" * 20, 13)])
+def test_long_lce_batch_matches_scalar_past_the_text(raw, t):
+    # lanes whose block runs past the text read 0, as the scalar does; with
+    # n < 2t-1 some residues have no defined block and an empty segment
+    text, bc, _, cover = make(raw, t)
+    n = text.n
+    tail = [i for i in cover.positions() if i > n - 3 * t]
+    pairs = [(i, j) for i in tail for j in cover.positions() if i != j]
+    assert any(i > n - t + 1 for i, _ in pairs)
+    I = np.array([i for i, _ in pairs])
+    J = np.array([j for _, j in pairs])
+    for a, b in ((I, J), (J, I)):
+        want = [bc.long_lce(int(i), int(j)) for i, j in zip(a, b)]
+        assert bc.long_lce_batch(a, b).tolist() == want

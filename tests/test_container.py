@@ -256,6 +256,25 @@ def _swap(arr, a, b):
     return out
 
 
+def _blocks_left(bc):
+    """Per code slot, the blocks from it up to its segment's separator."""
+    rem = np.zeros(bc.code_len, dtype=np.int64)
+    cov = bc.cover
+    for start, length in zip(cov.seg_start.tolist(), cov.seg_len.tolist()):
+        rem[start:start + length] = np.arange(length, 0, -1)
+    return rem
+
+
+def _past_segment(bc, k=4):
+    """bc.lcp with entry k one above the blocks left in the segments of both
+    its suffixes, which stays below code_len."""
+    rem = _blocks_left(bc)
+    sa = np.argsort(bc.isa)
+    value = min(rem[sa[k - 1]], rem[sa[k]]) + 1
+    assert value < bc.code_len
+    return _set(bc.lcp, k, value)
+
+
 # one field of a built index pushed out of the range the loader accepts
 OUT_OF_RANGE = {
     "leaf_lcp first": lambda ix: setattr(ix.tree, "leaf_lcp", _set(ix.tree.leaf_lcp, 0, 1)),
@@ -286,7 +305,30 @@ OUT_OF_RANGE = {
     "packed lcp": lambda ix: setattr(
         ix.packed.bc, "lcp", _set(ix.packed.bc.lcp, 4, ix.packed.bc.code_len)),
     "packed bits": lambda ix: setattr(ix.packed.pt, "bits", ix.packed.pt.bits[:-1]),
+    "lcp past its segment": lambda ix: setattr(ix.bc, "lcp", _past_segment(ix.bc)),
+    "packed lcp past its segment": lambda ix: setattr(
+        ix.packed.bc, "lcp", _past_segment(ix.packed.bc)),
+    # single-bit flips that once loaded and raised IndexError on a query
+    # (bits 0 and 1 of this entry still pass every check and answer wrongly)
+    **{f"lcp entry 14 bit {bit}": lambda ix, bit=bit: setattr(
+        ix.bc, "lcp", _set(ix.bc.lcp, 14, int(ix.bc.lcp[14]) ^ (1 << bit)))
+       for bit in range(2, 8)},
 }
+
+
+def test_lcp_into_the_sentinel_block_rejected():
+    # the block that ends at the unique sentinel matches no other block; an
+    # lcp entry that counts it sent the last capped call to position n+1
+    text = load_text(fib_word(199))
+    ix = build_index(text, 5)
+    bc = ix.bc
+    last = bc.cover.pos_in_code(text.n - 5 + 1)
+    k = int(bc.isa[last]) + 1
+    rem = _blocks_left(bc)
+    assert rem[last] == 1 and rem[np.argsort(bc.isa)[k]] >= 1
+    bc.lcp = _set(bc.lcp, k, 1)
+    with pytest.raises(FormatError, match="range"):
+        load_index(dump_index(ix))
 
 
 @pytest.mark.parametrize("field", sorted(OUT_OF_RANGE))

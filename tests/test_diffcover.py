@@ -171,3 +171,33 @@ def test_wichmann_cover_members_pinned():
 def test_wichmann_cover_never_larger_than_sqrt_blocks():
     larger = [t for t in range(1, 5001) if len(_members(t)) > len(_sqrt_block_cover(t))]
     assert larger == []
+
+
+def _hdelta_reference(t: int, members: tuple) -> list:
+    """hdelta by a plain loop: x ascending, so the first x to reach a
+    difference (y - x) mod t is the smallest."""
+    table = [None] * t
+    for x in sorted(members):
+        for y in members:
+            if table[(y - x) % t] is None:
+                table[(y - x) % t] = x
+    return table
+
+
+def test_hdelta_matches_loop_reference_up_to_3000():
+    # __wrapped__ skips the cache, which would keep every table alive
+    bad = [t for t in range(1, 3001)
+           if build_difference_cover.__wrapped__(t).hdelta.tolist()
+           != _hdelta_reference(t, _members(t))]
+    assert bad == []
+
+
+def test_hdelta_builds_at_a_million():
+    t = 10**6
+    dc = build_difference_cover.__wrapped__(t)
+    assert dc.hdelta.dtype == np.int64 and dc.hdelta.shape == (t,)
+    mask = dc.member_mask()
+    assert mask[dc.hdelta].all() and mask[(dc.hdelta + np.arange(t)) % t].all()
+    for i, j in ((1, 2), (7, 999_999), (500_000, 3), (2_000_001, 5)):
+        delta = dc.h(i, j)
+        assert 0 <= delta < t and mask[(i + delta) % t] and mask[(j + delta) % t]

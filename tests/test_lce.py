@@ -12,7 +12,7 @@ from lcex.oracle import IsaOracle, naive_lce, naive_lce_table
 from lcex.textstore import Text, load_text
 from lcex.tst import build_tst
 
-from conftest import EXAMPLE_W, FIG_W, fib_word, random_text
+from conftest import EXAMPLE_W, FIG_W, fib_word, random_text, thue_morse
 
 
 def test_example_queries():
@@ -287,3 +287,26 @@ def test_random_strings_random_params(raw, data):
         i = data.draw(st.integers(1, text.n))
         j = data.draw(st.integers(1, text.n))
         assert ix.lce(i, j) == naive_lce(text, i, j)
+
+
+@pytest.mark.parametrize("gen", [fib_word, thue_morse])
+def test_every_pair_near_the_end(gen):
+    """Every pair whose first position is among the last 3t (3 words of the
+    packed bit string) against the oracle, both orders in the batch path."""
+    from lcex.batch import lce_batch
+
+    text = load_text(gen(1597))
+    n, t = text.n, 13
+    ix = build_index(text, t, 4, packed=True)
+    table = naive_lce_table(text)
+    word = ix.packed.pt.word_size // ix.packed.pt.b
+    I, J = np.meshgrid(np.arange(n - 3 * max(t, word) + 1, n + 1), np.arange(1, n + 1),
+                       indexing="ij")
+    I, J = I.ravel(), J.ravel()
+    want = table[I, J]
+    assert (lce_batch(ix, I, J) == want).all() and (lce_batch(ix, J, I) == want).all()
+    near = I > n - 3 * t
+    for i, j, x in zip(I[near].tolist(), J[near].tolist(), want[near].tolist()):
+        assert ix.lce(i, j) == ix.lce_instrumented(i, j)[0] == x, (i, j)
+    for i, j, x in zip(I.tolist(), J.tolist(), want.tolist()):
+        assert ix.packed.lce(i, j) == x, (i, j)
