@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import OutOfRange
 from .lce import LceIndex
 
 
@@ -33,8 +34,18 @@ def _locate_batch(ix: LceIndex, I: np.ndarray) -> np.ndarray:
     return nodes
 
 
-def short_lce_batch(ix: LceIndex, I: np.ndarray, J: np.ndarray) -> np.ndarray:
-    """min(LCE, t') for every lane, one locate pair + one LCA lookup each."""
+def _checked(ix: LceIndex, I, J) -> tuple[np.ndarray, np.ndarray]:
+    """I and J as int64 arrays: 1-D of one length, every position in [1..n]."""
+    I = np.asarray(I, dtype=np.int64)
+    J = np.asarray(J, dtype=np.int64)
+    if I.ndim != 1 or I.shape != J.shape:
+        raise ValueError(f"I and J must be 1-D of one length, not {I.shape} and {J.shape}")
+    if len(I) and (min(I.min(), J.min()) < 1 or max(I.max(), J.max()) > ix.n):
+        raise OutOfRange(f"batch positions out of [1..{ix.n}]")
+    return I, J
+
+
+def _short_lce_batch(ix: LceIndex, I: np.ndarray, J: np.ndarray) -> np.ndarray:
     tree = ix.tree
     tp = ix.nav.t
     u = _locate_batch(ix, I)
@@ -49,6 +60,11 @@ def short_lce_batch(ix: LceIndex, I: np.ndarray, J: np.ndarray) -> np.ndarray:
     return np.minimum(val, tp)
 
 
+def short_lce_batch(ix: LceIndex, I, J) -> np.ndarray:
+    """min(LCE, t') for every lane, one locate pair + one LCA lookup each."""
+    return _short_lce_batch(ix, *_checked(ix, I, J))
+
+
 def short_chain_batch(ix: LceIndex, I: np.ndarray, J: np.ndarray, cap: int) -> np.ndarray:
     """Chained capped-LCE: advance active lanes by each t'-sized result.
 
@@ -60,7 +76,7 @@ def short_chain_batch(ix: LceIndex, I: np.ndarray, J: np.ndarray, cap: int) -> n
     total = np.zeros(len(I), dtype=np.int64)
     active = np.arange(len(I))
     while len(active):
-        r = short_lce_batch(ix, I[active] + total[active], J[active] + total[active])
+        r = _short_lce_batch(ix, I[active] + total[active], J[active] + total[active])
         total[active] += r
         adv = total[active]
         keep = (r == tp) & (adv < cap) & (I[active] + adv <= n) & (J[active] + adv <= n)
@@ -68,18 +84,13 @@ def short_chain_batch(ix: LceIndex, I: np.ndarray, J: np.ndarray, cap: int) -> n
     return np.minimum(total, cap)
 
 
-def lce_batch(ix: LceIndex, I: np.ndarray, J: np.ndarray) -> np.ndarray:
+def lce_batch(ix: LceIndex, I, J) -> np.ndarray:
     """Vectorized lce over position arrays; exact same answers as ix.lce.
 
     This mirrors the scalar composition ``lce._compose`` lane by lane.
     """
-    I = np.asarray(I, dtype=np.int64)
-    J = np.asarray(J, dtype=np.int64)
+    I, J = _checked(ix, I, J)
     n, t = ix.n, ix.t
-    if len(I) and (I.min() < 1 or J.min() < 1 or I.max() > n or J.max() > n):
-        from .errors import OutOfRange
-
-        raise OutOfRange("batch positions out of [1..n]")
     ans = np.zeros(len(I), dtype=np.int64)
 
     diag = I == J

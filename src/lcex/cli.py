@@ -180,6 +180,7 @@ def cmd_selftest(args) -> int:
         b"baabbaabbaaabbaabba",
         bytes(rng.choice(b"ab") for _ in range(257)),
         bytes(rng.choice(b"abcdefgh") for _ in range(200)),
+        b"abaababaabaab" * 23,
     ]
     failures = 0
     for raw in corpora:
@@ -188,16 +189,23 @@ def cmd_selftest(args) -> int:
         table = naive_lce_table(text)
         I, J = np.meshgrid(np.arange(1, n + 1), np.arange(1, n + 1))
         I, J = I.ravel(), J.ravel()
+        # the longest off-diagonal matches reach both block codes: over the
+        # text, and over the packed bit string in 64-bit words
+        off = table.copy()
+        np.fill_diagonal(off, 0)
+        longest = np.column_stack(np.unravel_index(np.argsort(off, axis=None)[-16:],
+                                                   off.shape)).tolist()
         # t' = 1 chains t capped trie calls per capped check
         for t, tp in [(1, 1), (2, 1), (2, 2), (3, 1), (3, 3), (5, 1), (5, 5), (8, 1), (8, 8)]:
-            ix = build_index(text, t, tp)
+            ix = build_index(text, t, tp, packed=True)
             ok = bool((lce_batch(ix, I, J) == table[I, J]).all())
-            spot = all(ix.lce(i, j) == int(table[i, j])
-                       for i, j in [(rng.randint(1, n), rng.randint(1, n)) for _ in range(64)])
+            pairs = [(rng.randint(1, n), rng.randint(1, n)) for _ in range(64)] + longest
+            spot = all(ix.lce(i, j) == ix.packed.lce(i, j) == int(table[i, j])
+                       for i, j in pairs)
             status = "PASS" if ok and spot else "FAIL"
             if status == "FAIL":
                 failures += 1
-            print(f"{status} corpus={raw[:12]!r} n={n} t={t} t'={tp}")
+            print(f"{status} corpus={raw[:12]!r} n={n} t={t} t'={tp} packed")
     return 1 if failures else 0
 
 

@@ -170,7 +170,7 @@ def _read_blockcode(r: _Reader, t: int, n: int, packed: bool = False):
     rem -= by_rank
     if not packed and cover.in_cover(n - t + 1):
         c = cover.pos_in_code(n - t + 1)
-        rem[c - cover.seg_rank(n - t + 1):c + 1] -= 1
+        rem[c - (n - t) // t:c + 1] -= 1
     # rem in suffix order; a slot no isa entry fills keeps -1, below every lcp
     # entry, so the bound also makes isa a permutation
     by_rank.fill(-1)

@@ -75,11 +75,6 @@ class DifferenceCover:
         t = self.t
         return (self._hdelta[(j - i) % t] - i) % t
 
-    def member_mask(self) -> np.ndarray:
-        mask = np.zeros(self.t, dtype=bool)
-        mask[list(self.members)] = True
-        return mask
-
 
 @lru_cache(maxsize=None)
 def build_difference_cover(t: int) -> DifferenceCover:
@@ -99,83 +94,58 @@ def build_difference_cover(t: int) -> DifferenceCover:
 
 @dataclass
 class CoverIndex:
-    """S(t) membership plus the segment layout of the encoded string.
+    """S(t) membership plus the layout of code(w), both indexed by residue.
 
-    Residue x's segment lists the ranks of blocks starting at x, x+t, ...
-    (first position t when x = 0) while the block fits inside [1..n].
-    ``seg_start`` gives each segment's 0-based offset in code(w); separators
-    are accounted one per non-empty segment.
+    Residue x's segment lists the ranks of the blocks at x, x+t, ... (from t
+    when x = 0) while the block fits inside [1..n]; segments follow in
+    ascending residue order, each non-empty one closed by a separator.
+    ``seg_start[x]`` is the segment's 0-based offset in code(w), -1 when x is
+    not in D; ``seg_len[x]`` its number of defined blocks, 0 outside D.
+    Every segment's first position lies in [1..t], so block i sits at slot
+    ``seg_start[i % t] + (i - 1) // t``.
     """
 
     t: int
     n: int
     dc: DifferenceCover
-    residue_order: tuple
-    residue_index: np.ndarray        # residue -> index in residue_order, -1 outside D
-    first_pos: np.ndarray            # per residue index, first position of the segment
-    seg_len: np.ndarray              # per residue index, number of defined blocks
-    seg_start: np.ndarray            # per residue index, offset of the segment in code
+    seg_start: np.ndarray
+    seg_len: np.ndarray
     code_len: int
-    size: int                        # |S(t)| counted over [1..n]
 
     def __post_init__(self):
-        # list mirrors keep the scalar query path off numpy scalar boxing
-        self._residue_index = self.residue_index.tolist()
-        self._first_pos = self.first_pos.tolist()
+        # a list mirror keeps the scalar query path off numpy scalar boxing
         self._seg_start = self.seg_start.tolist()
 
     def in_cover(self, i: int) -> bool:
-        return 1 <= i <= self.n and self._residue_index[i % self.t] >= 0
-
-    def seg_rank(self, i: int) -> int:
-        """Index of i within its residue's arithmetic progression."""
-        ri = self._residue_index[i % self.t]
-        return (i - self._first_pos[ri]) // self.t
+        return 1 <= i <= self.n and self._seg_start[i % self.t] >= 0
 
     def pos_in_code(self, i: int) -> int:
         """0-based position of block i inside code(w); block must be defined."""
-        ri = self._residue_index[i % self.t]
-        return self._seg_start[ri] + (i - self._first_pos[ri]) // self.t
+        return self._seg_start[i % self.t] + (i - 1) // self.t
 
     def positions(self) -> list[int]:
         """All cover positions in [1..n], ascending."""
-        mask = self.dc.member_mask()
         idx = np.arange(1, self.n + 1)
-        return idx[mask[idx % self.t]].tolist()
+        return idx[self.seg_start[idx % self.t] >= 0].tolist()
 
     def defined_positions(self) -> np.ndarray:
-        """Cover positions whose t-block fits inside [1..n], segment by
-        segment in code(w) order."""
+        """Cover positions whose t-block fits inside [1..n], in code(w) order."""
         t = self.t
-        return np.concatenate([
-            int(first) + t * np.arange(int(length), dtype=np.int64)
-            for first, length in zip(self.first_pos, self.seg_len)])
+        return np.concatenate([(x or t) + t * np.arange(self.seg_len[x], dtype=np.int64)
+                               for x in self.dc.members])
 
 
 def build_cover_index(dc: DifferenceCover, n: int) -> CoverIndex:
     if n < 1:
         raise ValueError("n must be >= 1")
     t = dc.t
-    order = dc.members
-    residue_index = np.full(t, -1, dtype=np.int64)
-    for k, x in enumerate(order):
-        residue_index[x] = k
-    first_pos = np.empty(len(order), dtype=np.int64)
-    seg_len = np.empty(len(order), dtype=np.int64)
-    seg_start = np.empty(len(order), dtype=np.int64)
-    size = 0
-    off = 0
-    for k, x in enumerate(order):
-        first = x if x >= 1 else t
-        first_pos[k] = first
-        if first <= n:
-            size += (n - first) // t + 1
-        length = 0 if first > n - t + 1 else (n - t + 1 - first) // t + 1
-        seg_len[k] = length
-        seg_start[k] = off
-        off += length + (1 if length else 0)
-    return CoverIndex(
-        t=t, n=n, dc=dc, residue_order=order, residue_index=residue_index,
-        first_pos=first_pos, seg_len=seg_len, seg_start=seg_start,
-        code_len=off, size=size,
-    )
+    d = np.asarray(dc.members, dtype=np.int64)
+    first = np.where(d == 0, t, d)
+    length = np.maximum((n - t + 1 - first) // t + 1, 0)
+    width = length + (length > 0)            # blocks plus the separator
+    seg_start = np.full(t, -1, dtype=np.int64)
+    seg_start[d] = np.cumsum(width) - width
+    seg_len = np.zeros(t, dtype=np.int64)
+    seg_len[d] = length
+    return CoverIndex(t=t, n=n, dc=dc, seg_start=seg_start, seg_len=seg_len,
+                      code_len=int(width.sum()))

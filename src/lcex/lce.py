@@ -167,7 +167,7 @@ def build_index(t: Text, t_param: int, t_prime: int | None = None,
     tree = _tst.build_leaf_table(t, 2 * tp)
     nav = _nav.build_navtree(t, tree, tp)
     tree.nav_parent = nav.parent
-    bc = _bc.build_blockcode(_bc.rank_blocks(t, cover, tp), cover)
+    bc = _bc.build_blockcode(_bc.rank_blocks(t, cover), cover)
 
     pk = None
     if packed:

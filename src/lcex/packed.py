@@ -97,19 +97,16 @@ def _fetch_words(pt: PackedText, positions: np.ndarray, width: int) -> np.ndarra
 
 
 def bit_block_ranks(pt: PackedText) -> tuple[np.ndarray, CoverIndex]:
-    """Ranks of the word_size-bit blocks at defined cover bit positions.
+    """Ranks of the word_size-bit blocks at defined cover bit positions, in
+    code(w) order.
 
     A block's word value is its lexicographic key; dense-ranking the values
     yields exactly the rank sequence the block code needs.
     """
     w = pt.word_size
-    dc = build_difference_cover(w)
-    cover = build_cover_index(dc, pt.nbits)
-    positions = cover.defined_positions()
-    words = _fetch_words(pt, positions, w)
-    ranks = np.zeros(pt.nbits + 1, dtype=np.int64)
-    ranks[positions] = np.unique(words, return_inverse=True)[1] + 1
-    return ranks, cover
+    cover = build_cover_index(build_difference_cover(w), pt.nbits)
+    words = _fetch_words(pt, cover.defined_positions(), w)
+    return np.unique(words, return_inverse=True)[1] + 1, cover
 
 
 def build_bit_blockcode(pt: PackedText) -> BlockCode:

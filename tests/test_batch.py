@@ -83,6 +83,38 @@ def test_batch_range_check():
         lce_batch(ix, np.array([1]), np.array([text.n + 1]))
 
 
+@pytest.mark.parametrize("entry", [lce_batch, short_lce_batch])
+@pytest.mark.parametrize("I,J", [([0], [1]), ([1], [0]), ([2, 3], [4, "n+1"]),
+                                 (["n+1"], [1]), ([-1, 2], [1, 2])])
+def test_batch_entry_points_reject_out_of_range(entry, I, J):
+    # the scalar short_lce raises for the same positions
+    text = load_text(FIG_W)
+    ix = build_index(text, 2)
+    I, J = ([text.n + 1 if v == "n+1" else v for v in a] for a in (I, J))
+    bad = next((i, j) for i, j in zip(I, J) if not (1 <= i <= text.n and 1 <= j <= text.n))
+    with pytest.raises(OutOfRange):
+        ix.short_lce(*bad)
+    with pytest.raises(OutOfRange):
+        entry(ix, np.array(I), np.array(J))
+
+
+@pytest.mark.parametrize("entry", [lce_batch, short_lce_batch])
+@pytest.mark.parametrize("I,J", [([1, 2, 3], [5]), ([5], [1, 2, 3]), ([1, 2], []),
+                                 ([[1, 2]], [[3, 4]]), (1, 2)])
+def test_batch_entry_points_reject_mismatched_shapes(entry, I, J):
+    ix = build_index(load_text(FIG_W), 2)
+    with pytest.raises(ValueError):
+        entry(ix, np.array(I), np.array(J))
+
+
+def test_batch_entry_points_accept_sequences():
+    text = load_text(fib_word(120))
+    ix = build_index(text, 4, 2)
+    I, J = [1, 5, 9, text.n], [3, 5, 30, 1]
+    assert lce_batch(ix, I, J).tolist() == [ix.lce(i, j) for i, j in zip(I, J)]
+    assert short_lce_batch(ix, I, J).tolist() == [min(ix.lce(i, j), 2) for i, j in zip(I, J)]
+
+
 def test_short_batch_same_leaf_at_rank_edges():
     from lcex.container import dump_index, load_index
 

@@ -13,11 +13,19 @@ from conftest import FIG_W, fib_word, random_text
 
 
 def make(raw, t):
+    """Text, block code, block ranks by 1-based position (0 where no block is
+    defined), and cover."""
     text = load_text(raw)
     cover = build_cover_index(build_difference_cover(t), text.n)
-    ranks = rank_blocks(text, cover, t)
-    bc = build_blockcode(ranks, cover)
+    code_ranks = rank_blocks(text, cover)
+    bc = build_blockcode(code_ranks, cover)
+    ranks = np.zeros(text.n + 1, dtype=np.int64)
+    ranks[cover.defined_positions()] = code_ranks
     return text, bc, ranks, cover
+
+
+def code_of(ranks, cover):
+    return assemble_code(ranks[cover.defined_positions()], cover)
 
 
 def test_periodic_equal_ranks():
@@ -62,18 +70,18 @@ def test_rank_order_isomorphism():
 
 def test_separators_distinct_below_ranks():
     text, bc, ranks, cover = make(FIG_W, 2)
-    code = assemble_code(ranks, cover).tolist()
+    code = code_of(ranks, cover).tolist()
     seps = [v for v in code if v < 0]
     assert len(seps) == len(set(seps))
     assert max(seps) < min(v for v in code if v > 0)
-    nonempty = sum(1 for k in range(len(cover.residue_order)) if cover.seg_len[k])
+    nonempty = int(np.count_nonzero(cover.seg_len))
     assert len(seps) == nonempty
     assert len(code) == int(cover.seg_len.sum()) + nonempty
 
 
 def test_code_lcp_brute_force_periodic():
     text, bc, ranks, cover = make(b"abc" * 6, 3)
-    code = assemble_code(ranks, cover).tolist()
+    code = code_of(ranks, cover).tolist()
     # within a residue segment, equal consecutive blocks give equal symbols;
     # verify code suffix lcp by brute force
     for a in range(len(code)):
@@ -91,7 +99,7 @@ def test_code_lcp_brute_force_periodic():
 def test_posmap_roundtrip_random():
     raw = bytes(random.Random(0).choice(b"abcd") for _ in range(500))
     text, bc, ranks, cover = make(raw, 4)
-    code = assemble_code(ranks, cover)
+    code = code_of(ranks, cover)
     assert bc.code_len == len(code)
     for i in cover.positions():
         if i + 3 <= text.n:
@@ -126,7 +134,7 @@ def test_long_lce_exhaustive_figure(t):
 
 def test_no_cross_segment_match():
     text, bc, ranks, cover = make(FIG_W, 2)
-    code = assemble_code(ranks, cover).tolist()
+    code = code_of(ranks, cover).tolist()
     sep_positions = [k for k, v in enumerate(code) if v < 0]
     isa = bc.isa.tolist()
     for p in sep_positions:
@@ -136,27 +144,24 @@ def test_no_cross_segment_match():
         assert bc.lcp[r] == 0
 
 
-def brute_block_ranks(text, cover, t, dense_over_cover):
-    """Block ranks from a plain sort of the text's t-blocks: dense over every
-    t-gram of the text, or over the blocks at defined cover positions."""
+def brute_block_ranks(text, cover, t):
+    """Block ranks from a plain sort of the text's t-blocks, dense over every
+    t-gram of the text, listed in code(w) order: segment by segment in
+    ascending residue order, ascending position within a segment."""
     s = text.symbols()
     n = text.n
     block = {i: tuple(s[i - 1 : i - 1 + t]) for i in range(1, n - t + 2)}
-    defined = [i for i in cover.positions() if i + t - 1 <= n]
-    pool = [block[i] for i in defined] if dense_over_cover else block.values()
-    order = sorted(set(pool))
-    ranks = np.zeros(n + 1, dtype=np.int64)
-    for i in defined:
-        ranks[i] = order.index(block[i]) + 1
-    return ranks
+    order = sorted(set(block.values()))
+    defined = sorted((i for i in cover.positions() if i + t - 1 <= n),
+                     key=lambda i: (i % t, i))
+    return [order.index(block[i]) + 1 for i in defined]
 
 
-def check_rank_blocks(raw, t, tp):
+def check_rank_blocks(raw, t):
     text = load_text(raw)
     cover = build_cover_index(build_difference_cover(t), text.n)
-    got = rank_blocks(text, cover, tp)
-    want = brute_block_ranks(text, cover, t, dense_over_cover=tp < t)
-    assert (got == want).all(), (raw, t, tp)
+    got = rank_blocks(text, cover)
+    assert got.tolist() == brute_block_ranks(text, cover, t), (raw, t)
 
 
 @settings(max_examples=60, deadline=None)
@@ -165,17 +170,14 @@ def check_rank_blocks(raw, t, tp):
        st.data())
 def test_rank_blocks_matches_sorted_blocks(syms, data):
     raw = bytes(97 + c for c in syms)
-    t = data.draw(st.integers(1, len(raw) + 1))
-    check_rank_blocks(raw, t, t)
-    check_rank_blocks(raw, t, data.draw(st.integers(1, t)))
+    check_rank_blocks(raw, data.draw(st.integers(1, len(raw) + 1)))
 
 
 @pytest.mark.parametrize("raw", [b"a" * 40, b"ab" * 8, b"abaab" * 3])
 def test_rank_blocks_unary_and_near_2t(raw):
     n = len(raw) + 1
     for t in (n // 2 - 1, n // 2, n // 2 + 1, n):
-        for tp in (1, t // 2 or 1, t):
-            check_rank_blocks(raw, t, tp)
+        check_rank_blocks(raw, t)
 
 
 @settings(max_examples=20, deadline=None)

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import struct
 import subprocess
@@ -16,9 +17,35 @@ from lcex.lce import build_index
 from lcex.oracle import naive_lce_table
 from lcex.textstore import load_text
 
-from conftest import FIG_W, fib_word, random_text
+from conftest import FIG_W, fib_word, random_text, thue_morse
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+# SHA-256 of the version-4 containers of three corpora at three settings
+# (t, t', packed).  A layout change that keeps VERSION fails here; a version
+# bump records the new digests with the new VERSION.
+V4_DIGESTS = {
+    ("fib", 8, 8, False): "36f6cd43d3e5f6908f0ef5ed00c8e7633176b63d934596f1d09b4054b810289c",
+    ("fib", 8, 3, False): "68254dc822e9ae1be1dfe7b825ba5289907a3ee76d1ff755a08ad441d0573489",
+    ("fib", 6, 6, True): "5a05c7c9c89c695b7e7bcd5991e7057fabca7917728d6df18664e53b1e159f86",
+    ("thue-morse", 8, 8, False): "3b8894558f7cf1394bd358278d469edb741829b1d9e059d9e6f311c4ef80a5e1",
+    ("thue-morse", 8, 3, False): "18a90c97ef249dea47f095735563047894e4108bc813e48f898c983c7686bb00",
+    ("thue-morse", 6, 6, True): "9101a89b5e20f9bab4010a5817f6243d26f896f42a2dbef3081fb6b088892cf4",
+    ("sigma4", 8, 8, False): "b4c5ff3780eb4cd29a101e5aa348ada60ac0dbd8d1091c927fbc7a4a56e221e9",
+    ("sigma4", 8, 3, False): "d4b4bea71bef9473a7d0dfe9adba4d69c966dde1ed2626878e18ea7b3c477c05",
+    ("sigma4", 6, 6, True): "1f3c511da6a9e6c4954cdd30b6a91af648dbaac3afc5c93be4fbd021a8b3f303",
+}
+PINNED_CORPORA = {"fib": fib_word(700), "thue-morse": thue_morse(600),
+                  "sigma4": random_text(500, 4, seed=9)}
+
+
+@pytest.mark.parametrize("key", list(V4_DIGESTS), ids=lambda k: "-".join(map(str, k)))
+def test_container_bytes_pinned(key):
+    name, t, t_prime, packed = key
+    blob = dump_index(build_index(load_text(PINNED_CORPORA[name]), t, t_prime, packed=packed))
+    assert struct.unpack("<H", blob[4:6])[0] == 4
+    assert hashlib.sha256(blob).hexdigest() == V4_DIGESTS[key]
 
 
 def test_magic_and_version():

@@ -84,13 +84,13 @@ def test_cover_size_by_direct_filter():
     cover = build_cover_index(dc, 100)
     direct = [i for i in range(1, 101) if (i % 9) in set(dc.members)]
     assert cover.positions() == direct
-    assert cover.size == len(direct)
+    assert [i for i in range(-1, 103) if cover.in_cover(i)] == direct
 
 
 @pytest.mark.parametrize("t,n", [(5, 19), (8, 100), (16, 57), (64, 1000), (3, 4)])
 def test_cover_size_bound(t, n):
     cover = build_cover_index(build_difference_cover(t), n)
-    assert cover.size <= 8 * n / math.sqrt(t)
+    assert len(cover.positions()) <= 8 * n / math.sqrt(t)
 
 
 @settings(max_examples=60, deadline=None)
@@ -99,16 +99,22 @@ def test_segment_layout_consistency(t, n):
     cover = build_cover_index(build_difference_cover(t), n)
     # rebuild the code layout by brute force and compare offsets
     off = 0
-    for k, x in enumerate(cover.residue_order):
+    for x in range(t):
+        if x not in cover.dc.members:
+            assert cover.seg_start[x] == -1 and cover.seg_len[x] == 0
+            continue
         first = x if x >= 1 else t
         members = [i for i in range(first, n - t + 2, t) if i >= 1]
-        assert cover.seg_len[k] == len(members)
-        assert cover.seg_start[k] == off
-        for i in members:
-            assert cover.pos_in_code(i) == off + (i - first) // t
-            assert cover.seg_rank(i) == (i - first) // t
+        assert cover.seg_len[x] == len(members)
+        assert cover.seg_start[x] == off
+        for k, i in enumerate(members):
+            assert cover.pos_in_code(i) == off + k
         off += len(members) + (1 if members else 0)
     assert cover.code_len == off
+    # defined_positions lists the blocks in slot order, skipping separators
+    seps = set((cover.seg_start + cover.seg_len)[cover.seg_len > 0].tolist())
+    slots = [cover.pos_in_code(int(i)) for i in cover.defined_positions()]
+    assert slots == [k for k in range(off) if k not in seps]
 
 
 @settings(max_examples=60, deadline=None)
@@ -196,7 +202,8 @@ def test_hdelta_builds_at_a_million():
     t = 10**6
     dc = build_difference_cover.__wrapped__(t)
     assert dc.hdelta.dtype == np.int64 and dc.hdelta.shape == (t,)
-    mask = dc.member_mask()
+    mask = np.zeros(t, dtype=bool)
+    mask[list(dc.members)] = True
     assert mask[dc.hdelta].all() and mask[(dc.hdelta + np.arange(t)) % t].all()
     for i, j in ((1, 2), (7, 999_999), (500_000, 3), (2_000_001, 5)):
         delta = dc.h(i, j)

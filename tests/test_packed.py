@@ -36,16 +36,15 @@ def bigint_pack_bits(text):
 
 def fetch_loop_code(pt):
     """Reference code(w) over the bit string: one fetch per defined cover bit
-    position, ranked densely through a value -> rank dict."""
+    position, taken in code order (by residue, then position), ranked densely
+    through a value -> rank dict."""
     w = pt.word_size
     cover = build_cover_index(build_difference_cover(w), pt.nbits)
-    positions = [p for p in cover.positions() if p + w - 1 <= pt.nbits]
+    positions = sorted((p for p in cover.positions() if p + w - 1 <= pt.nbits),
+                       key=lambda p: (p % w, p))
     values = [pt.fetch(p, w) for p in positions]
     order = {v: r + 1 for r, v in enumerate(sorted(set(values)))}
-    ranks = np.zeros(pt.nbits + 1, dtype=np.int64)
-    for p, v in zip(positions, values):
-        ranks[p] = order[v]
-    return assemble_code(ranks, cover)
+    return assemble_code(np.array([order[v] for v in values], dtype=np.int64), cover)
 
 
 def _mix(distinct, extra, rnd):
