@@ -49,8 +49,6 @@ def cmd_build(args) -> int:
         t = args.t
     if t is None:
         raise ParamOutOfRange("give --t or --auto-tune")
-    if t < 1:
-        raise ParamOutOfRange(f"--t must be >= 1, got {t}")
     t0 = time.perf_counter()
     ix = build_index(text, t, args.t_prime, packed=args.packed)
     log.info("build took %.1f ms", 1000 * (time.perf_counter() - t0))

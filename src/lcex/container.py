@@ -64,7 +64,6 @@ class _Writer:
         self.buf = io.BytesIO()
 
     def u8(self, v): self.buf.write(struct.pack("<B", v))
-    def u16(self, v): self.buf.write(struct.pack("<H", v))
     def u64(self, v): self.buf.write(struct.pack("<Q", v))
     def i64(self, v): self.buf.write(struct.pack("<q", v))
 
@@ -95,7 +94,6 @@ class _Reader:
         return self.data[self.pos - n : self.pos]
 
     def u8(self): return struct.unpack("<B", self._read(1))[0]
-    def u16(self): return struct.unpack("<H", self._read(2))[0]
     def u64(self): return struct.unpack("<Q", self._read(8))[0]
     def i64(self): return struct.unpack("<q", self._read(8))[0]
 

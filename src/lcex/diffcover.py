@@ -57,7 +57,7 @@ class DifferenceCover:
     """A t-difference-cover D with the offset table hdelta.
 
     hdelta[d] is the smallest x in D with (x+d) mod t in D; it exists for
-    every d because differences of D cover Z_t.
+    every d because differences of D cover Z_t.  ``h_batch`` is the batch ``h``.
     """
 
     t: int
@@ -74,6 +74,10 @@ class DifferenceCover:
         """
         t = self.t
         return (self._hdelta[(j - i) % t] - i) % t
+
+    def h_batch(self, I: np.ndarray, J: np.ndarray) -> np.ndarray:
+        """``h`` for every lane of two int64 position arrays."""
+        return (self.hdelta[(J - I) % self.t] - I) % self.t
 
 
 @lru_cache(maxsize=None)

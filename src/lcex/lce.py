@@ -26,6 +26,7 @@ from .textstore import Text
 # Weight of one trie leaf against one cover entry in the tuning objective and
 # the estimated-words formula below; see README ("Space accounting").
 TUNE_ALPHA = 3
+TUNE_PROBES = 64   # most trie-leaf counts one tune_tau call probes
 
 
 @dataclass
@@ -205,7 +206,7 @@ def truncated_leaf_counts(t: Text) -> tuple[np.ndarray, np.ndarray]:
     return t.suffix_array(), t.lcp_array()
 
 
-def tune_tau(t: Text, budget: int = 64) -> int:
+def tune_tau(t: Text) -> int:
     """Pick a block length by doubling then binary search, comparing measured
     trie leaf counts against ceil(n/sqrt(t)); returns the probed value with
     the smallest weighted total TUNE_ALPHA*leaves + ceil(n/sqrt(t)).
@@ -232,10 +233,10 @@ def tune_tau(t: Text, budget: int = 64) -> int:
 
     lo = 1
     hi = 1
-    while hi < n and probe(hi) < ceil_n_over_sqrt(hi) and len(probes) < budget:
+    while hi < n and probe(hi) < ceil_n_over_sqrt(hi) and len(probes) < TUNE_PROBES:
         lo = hi
         hi = min(2 * hi, n)
-    while hi - lo > 1 and len(probes) < budget:
+    while hi - lo > 1 and len(probes) < TUNE_PROBES:
         mid = (lo + hi) // 2
         if probe(mid) < ceil_n_over_sqrt(mid):
             lo = mid

@@ -24,7 +24,7 @@ class NavTree:
     ``parent`` maps the root to itself.  ``locate`` climbs fewer than t
     levels, so the lifting table stops at the jump 2^(L-1) with
     L = max(1, bit_length(t-1)); ``level_ancestor`` takes repeated top-level
-    jumps for the bits above it.
+    jumps for the bits above it.  ``locate_batch`` is the batch ``locate``.
     """
 
     def __init__(self, t: int, n: int, parent: np.ndarray, root: int,
@@ -92,6 +92,20 @@ class NavTree:
             d >>= 1
             b += 1
         return v
+
+    def locate_batch(self, I: np.ndarray) -> np.ndarray:
+        """``locate`` for every position of an int64 array, one gather per bit."""
+        k = (I - 1) // self.t
+        d = I - 1 - k * self.t
+        nodes = self.sampled_np[k]
+        b = 0
+        while d.any():
+            take = (d & 1).astype(bool)
+            if take.any():
+                nodes[take] = self.lift_np[b][nodes[take]]
+            d >>= 1
+            b += 1
+        return nodes
 
 
 def build_navtree(t: Text, tree: LeafTable, blk: int) -> NavTree:

@@ -8,6 +8,7 @@ ranks (most-significant-first packing makes numeric order lexicographic).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import partial
 
@@ -79,6 +80,7 @@ def _capped(pt: PackedText, bi: int, bj: int) -> int:
 
 def bit_short_lce(pt: PackedText, bi: int, bj: int) -> int:
     """min(bitLCE(bi, bj), word_size) with one fetch per side plus XOR/msb."""
+    bi, bj = operator.index(bi), operator.index(bj)
     if not (1 <= bi <= pt.nbits and 1 <= bj <= pt.nbits):
         raise OutOfRange(f"bit positions ({bi},{bj}) not in [1..{pt.nbits}]")
     return _capped(pt, bi, bj)
@@ -116,6 +118,7 @@ def build_bit_blockcode(pt: PackedText) -> BlockCode:
 
 def bit_lce(pt: PackedText, bc: BlockCode, bi: int, bj: int) -> int:
     """Exact bit-level LCE by the same decompose-align-finish algorithm."""
+    bi, bj = operator.index(bi), operator.index(bj)
     if not (1 <= bi <= pt.nbits and 1 <= bj <= pt.nbits):
         raise OutOfRange(f"bit positions ({bi},{bj}) not in [1..{pt.nbits}]")
     return _compose(pt.nbits, pt.word_size, partial(_capped, pt), bc, bi, bj)
@@ -123,6 +126,7 @@ def bit_lce(pt: PackedText, bc: BlockCode, bi: int, bj: int) -> int:
 
 def packed_lce(pt: PackedText, bc: BlockCode, i: int, j: int) -> int:
     """Symbol-level LCE recovered as floor(bitLCE / b)."""
+    i, j = operator.index(i), operator.index(j)
     if not (1 <= i <= pt.n and 1 <= j <= pt.n):
         raise OutOfRange(f"positions ({i},{j}) not in [1..{pt.n}]")
     b = pt.b

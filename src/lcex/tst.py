@@ -27,7 +27,8 @@ class LeafTable:
     clipped suffixes reach the end of the text and have depths
     ``short_depth``.  ``alphabet`` is the sorted set of symbols.  Leaf
     strings decode through ``nav_parent``, the navigation tree's parents,
-    which the index attaches once it has them.
+    which the index attaches once it has them.  ``lca_prefix_len_batch`` is
+    ``lca_prefix_len`` over arrays of leaf ranks.
     """
 
     def __init__(self, q: int, n: int, leaf_lcp: np.ndarray, short_leaf: np.ndarray,
@@ -99,6 +100,17 @@ class LeafTable:
         if leaf_a > leaf_b:
             leaf_a, leaf_b = leaf_b, leaf_a
         return self.tour_sparse.query(leaf_a + 1, leaf_b)
+
+    def lca_prefix_len_batch(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """``lca_prefix_len`` for every lane of two int64 leaf-rank arrays."""
+        hi = np.maximum(u, v)
+        # lanes with u == v read a dummy in-range cell and are overwritten below
+        lo = np.minimum(np.minimum(u, v) + 1, hi)
+        val = self.tour_sparse.query_batch(lo, hi).astype(np.int64)
+        same = u == v
+        if same.any():
+            val[same] = self.depth[u[same]]
+        return val
 
 
 def build_leaf_table(t: Text, q: int) -> LeafTable:

@@ -3,6 +3,8 @@ import random
 
 import pytest
 
+from lcex.container import dump_index, load_index
+from lcex.lce import build_index
 from lcex.textstore import load_text
 
 # the worked example string and the figure string used throughout
@@ -30,6 +32,22 @@ def random_text(n: int, sigma: int, seed: int) -> bytes:
     rng = random.Random(seed)
     alphabet = bytes(range(97, 97 + sigma))
     return bytes(rng.choice(alphabet) for _ in range(n))
+
+
+# (text, t, t') for the batch-twin tests, t' < t in most
+TWIN_CASES = [
+    (FIG_W, 4, 2),
+    (fib_word(300), 8, 3),
+    (thue_morse(256), 6, 6),
+    (random_text(400, 4, seed=2), 6, 2),
+    (b"ab" * 50, 5, 1),
+]
+
+
+def built_and_loaded(raw: bytes, t: int, t_prime: int):
+    """The index of raw at (t, t') as built and as loaded from its container."""
+    ix = build_index(load_text(raw), t, t_prime)
+    return ix, load_index(dump_index(ix))
 
 
 def all_binary_strings(max_len: int):

@@ -59,6 +59,15 @@ def test_h_degenerate_modulus():
             assert dc.h(i, j) == 0
 
 
+@pytest.mark.parametrize("t", range(1, 71))
+def test_h_batch_matches_h(t):
+    dc = build_difference_cover(t)
+    pos = np.arange(1, t + 1, dtype=np.int64)   # every residue once
+    I, J = (a.ravel() for a in np.meshgrid(pos, pos))
+    want = [dc.h(i, j) for i, j in zip(I.tolist(), J.tolist())]
+    assert dc.h_batch(I, J).tolist() == want
+
+
 def test_h_membership_exhaustive_t16():
     dc = build_difference_cover(16)
     cover = build_cover_index(dc, 64 + 16)

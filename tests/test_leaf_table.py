@@ -23,6 +23,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 import workloads  # noqa: E402
 
+from conftest import TWIN_CASES, built_and_loaded  # noqa: E402
+
 
 def scanned_parents(leaf_of_pos: np.ndarray, leaves: int) -> np.ndarray:
     """Navigation parents by the right-to-left scan: the node at i gets the
@@ -76,3 +78,13 @@ def test_index_stats_are_the_trie_figures():
     assert ix.stats.tst_nodes == tree.node_count == ix.tree.node_count
     assert ix.stats.tst_ref_len == len(compact_reference(tree, text).ref)
     assert ix.tree.leaf_of_pos is None and ix.tree.leftmost is None
+
+
+@pytest.mark.parametrize("raw,t,tp", TWIN_CASES)
+def test_lca_prefix_len_batch_matches_scalar(raw, t, tp):
+    for ix in built_and_loaded(raw, t, tp):
+        tree = ix.tree
+        ranks = np.arange(tree.leaf_count, dtype=np.int64)
+        u, v = (a.ravel() for a in np.meshgrid(ranks, ranks))   # u == v and both rank ends
+        want = [tree.lca_prefix_len(a, b) for a, b in zip(u.tolist(), v.tolist())]
+        assert tree.lca_prefix_len_batch(u, v).tolist() == want

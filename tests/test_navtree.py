@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -8,7 +9,7 @@ from lcex.oracle import naive_lce
 from lcex.textstore import load_text
 from lcex.tst import build_tst
 
-from conftest import FIG_W, decode_syms, fib_word
+from conftest import FIG_W, TWIN_CASES, built_and_loaded, decode_syms, fib_word
 
 
 def make(raw, t):
@@ -167,3 +168,10 @@ def test_capped_lifting_level_ancestor_exact(t):
                 assert nav.level_ancestor(v, d) == u, (v, d)
                 if u != nav.root:
                     u = nav.parent[u]
+
+
+@pytest.mark.parametrize("raw,t,tp", TWIN_CASES)
+def test_locate_batch_matches_locate(raw, t, tp):
+    for ix in built_and_loaded(raw, t, tp):
+        I = np.arange(1, ix.n + 1, dtype=np.int64)
+        assert ix.nav.locate_batch(I).tolist() == [ix.nav.locate(i) for i in range(1, ix.n + 1)]

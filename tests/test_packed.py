@@ -175,6 +175,20 @@ def test_packed_matches_main_index():
             assert pk.lce(i, j) == ix.lce(i, j)
 
 
+def test_packed_entry_points_take_numpy_ints():
+    # positions read out of numpy arrays arrive as numpy integers
+    text = load_text(random_text(120, 3, seed=4))
+    ix = build_index(text, 4, packed=True)
+    pk, b, ws = ix.packed, ix.packed.pt.b, ix.packed.pt.word_size
+    for i in range(1, text.n + 1, 7):
+        for j in range(1, text.n + 1, 5):
+            want = ix.lce(i, j)
+            bi, bj = np.int64((i - 1) * b + 1), np.int64((j - 1) * b + 1)
+            assert pk.lce(np.int64(i), np.int64(j)) == want
+            assert pk.bit_lce(bi, bj) // b == want
+            assert bit_short_lce(pk.pt, bi, bj) == min(pk.bit_lce(bi, bj), ws)
+
+
 def test_packed_first_symbol_mismatch():
     text = load_text(FIG_W)
     pk = build_packed(text, word_size=8)
