@@ -24,8 +24,8 @@ reproduces b byte for byte; bytes after the last field of a section or
 after the last section are a format error.  Every array is range-checked
 on load, one vectorized check each, so that it cannot index past a table.
 Load rebuilds only two sparse tables (over the leaf LCPs and the block
-code's LCPs) and a navigation lifting table of max(1, ceil(log2 t'))
-levels.
+code's LCPs) and the navigation jump table: per distinct sampled leaf, its
+ancestors at 0..t'-1 steps, at most min(leaves, ceil(n/t')) rows.
 """
 
 from __future__ import annotations
@@ -291,7 +291,8 @@ def load_index(data: bytes):
                           f"need {-(-n // t_prime)}")
     _check("navigation tree", len(parent) == leaves and _within(parent, 0, leaves)
            and root < leaves and _within(sampled, 0, leaves))
-    nav = NavTree(t=nav_t, n=nav_n, parent=parent, root=root, sampled=sampled.tolist())
+    nav = NavTree(t=nav_t, n=nav_n, parent=parent, root=root,
+                  sampled=sampled.astype(np.int64))
     # the unique sentinel is the root: a depth-1 leaf, its own parent, and
     # the leaf at position n
     _check("navigation root", parent[root] == root and tree.lca_prefix_len(root, root) == 1

@@ -168,6 +168,11 @@ def build_index(t: Text, t_param: int, t_prime: int | None = None,
     tree = _tst.build_leaf_table(t, 2 * tp)
     nav = _nav.build_navtree(t, tree, tp)
     tree.nav_parent = nav.parent
+    # the paper's trie figures, from the leaf table without building the trie
+    ref_len = _tst.reference_length(tree)
+    # transient build artifacts, dropped after their last reader; the index
+    # stays sub-linear
+    tree.leaf_of_pos = tree.leftmost = None
     bc = _bc.build_blockcode(_bc.rank_blocks(t, cover), cover)
 
     pk = None
@@ -176,8 +181,6 @@ def build_index(t: Text, t_param: int, t_prime: int | None = None,
 
         pk = _packed.build_packed(t)
 
-    # the paper's trie figures, from the leaf table without building the trie
-    ref_len = _tst.reference_length(tree)
     stats = SpaceStats(
         tst_nodes=tree.node_count,
         tst_ref_len=ref_len,
@@ -188,8 +191,6 @@ def build_index(t: Text, t_param: int, t_prime: int | None = None,
             tree.node_count, ref_len, nav.node_count, len(nav.sampled), bc.code_len),
         z=z, n=n, t=t_param, t_prime=tp,
     )
-    # transient build artifacts; the index stays sub-linear
-    tree.leaf_of_pos = tree.leftmost = None
     return LceIndex(n=n, t=t_param, t_prime=tp, sigma=t.sigma,
                     sentinel=t.sentinel, tree=tree, nav=nav, bc=bc,
                     stats=stats, packed=pk)

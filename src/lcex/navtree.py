@@ -19,27 +19,38 @@ from .tst import LeafTable
 
 
 class NavTree:
-    """Parent links over trie leaves plus a lifting table and sampled pointers.
+    """Parent links over trie leaves, sampled pointers and their jump table.
 
-    ``parent`` maps the root to itself.  ``locate`` climbs fewer than t
-    levels, so the lifting table stops at the jump 2^(L-1) with
-    L = max(1, bit_length(t-1)); ``level_ancestor`` takes repeated top-level
-    jumps for the bits above it.  ``locate_batch`` is the batch ``locate``.
+    ``parent`` maps the root to itself; ``sampled[k]`` is the node of
+    position k*t'+1.  ``locate`` climbs d < t' parents from a sampled node,
+    so one row per distinct sampled node, holding its ancestors at 0..t'-1
+    steps, answers it with one read.  There are at most
+    min(leaves, ceil(n/t')) rows, O(z*tau^2) words.  ``locate_batch`` is
+    the batch ``locate``; ``level_ancestor`` walks parents.
     """
 
     def __init__(self, t: int, n: int, parent: np.ndarray, root: int,
-                 sampled: list[int]):
+                 sampled: np.ndarray):
         self.t = t
         self.n = n
         self.parent = parent
         self.root = root
         self.sampled = sampled
-        # lift_np[k][v] is the 2^k-th ancestor of v (the root maps to itself);
-        # the scalar path reads zero-copy memoryviews of its rows
-        self.lift_np = self._build_lifting()
-        self.lift = tuple(memoryview(row) for row in self.lift_np)
-        # numpy mirror for the batch query path
-        self.sampled_np = np.asarray(sampled, dtype=np.int64)
+        # lift_np[d][r] is the d-th ancestor of the r-th distinct sampled
+        # node and row_np[k] the row of sampled[k], both in their narrowest
+        # unsigned dtype; the scalar path reads zero-copy memoryviews
+        mark = np.zeros(len(parent), dtype=bool)
+        mark[sampled] = True
+        nodes = np.flatnonzero(mark)
+        row_of = np.empty(len(parent), dtype=np.min_scalar_type(len(nodes) - 1))
+        row_of[nodes] = np.arange(len(nodes))
+        self.row_np = row_of[sampled]
+        self.lift_np = np.empty((t, len(nodes)), dtype=np.min_scalar_type(len(parent) - 1))
+        for d in range(t):
+            self.lift_np[d] = nodes
+            nodes = parent[nodes]
+        self.lift = tuple(memoryview(r) for r in self.lift_np)
+        self.row = memoryview(self.row_np)
 
     @property
     def node_count(self) -> int:
@@ -55,57 +66,22 @@ class NavTree:
             up = up[up]
         return depth
 
-    def _build_lifting(self) -> np.ndarray:
-        levels = max(1, (self.t - 1).bit_length())
-        up = np.empty((levels, len(self.parent)), dtype=np.int64)
-        up[0] = self.parent
-        for k in range(1, levels):
-            up[k] = up[k - 1][up[k - 1]]
-        return up
-
     def level_ancestor(self, v: int, d: int) -> int:
-        """The d-th ancestor of v; d must not exceed depth(v)."""
-        lift = self.lift
-        top = len(lift) - 1
-        while d >> top > 1:   # d >= 2^(top+1): above the table
-            v = lift[top][v]
-            d -= 1 << top
-        k = 0
-        while d:
-            if d & 1:
-                v = lift[k][v]
-            d >>= 1
-            k += 1
-        return v
+        """The d-th ancestor of v, by a walk of d parent links."""
+        parent = self.parent
+        for _ in range(d):
+            v = parent[v]
+        return int(v)
 
     def locate(self, i: int) -> int:
         """Leaf (by lex rank) whose string starts with w[i..i+t-1], clipped."""
-        t = self.t
-        k = (i - 1) // t
-        d = i - 1 - k * t
-        v = self.sampled[k]
-        lift = self.lift
-        b = 0
-        while d:
-            if d & 1:
-                v = lift[b][v]
-            d >>= 1
-            b += 1
-        return v
+        k, d = divmod(i - 1, self.t)
+        return self.lift[d][self.row[k]]
 
     def locate_batch(self, I: np.ndarray) -> np.ndarray:
-        """``locate`` for every position of an int64 array, one gather per bit."""
-        k = (I - 1) // self.t
-        d = I - 1 - k * self.t
-        nodes = self.sampled_np[k]
-        b = 0
-        while d.any():
-            take = (d & 1).astype(bool)
-            if take.any():
-                nodes[take] = self.lift_np[b][nodes[take]]
-            d >>= 1
-            b += 1
-        return nodes
+        """``locate`` for every position of an int64 array: one int64 gather."""
+        k, d = np.divmod(I - 1, self.t)
+        return self.lift_np[d, self.row_np[k]].astype(np.int64)
 
 
 def build_navtree(t: Text, tree: LeafTable, blk: int) -> NavTree:
@@ -126,7 +102,7 @@ def build_navtree(t: Text, tree: LeafTable, blk: int) -> NavTree:
     root = int(lop[n - 1])
     parent = lop[rightmost + 1]
     parent[root] = root
-    return NavTree(t=blk, n=n, parent=parent, root=root, sampled=lop[::blk].tolist())
+    return NavTree(t=blk, n=n, parent=parent, root=root, sampled=lop[::blk].copy())
 
 
 def short_lce(nav: NavTree, tree: LeafTable, i: int, j: int) -> int:

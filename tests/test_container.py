@@ -375,7 +375,7 @@ def test_loaded_index_keeps_only_query_state():
     parts = {"tree": ix.tree, "nav": ix.nav, "bc": ix.bc, "packed.bc": ix.packed.bc}
     lists = {f"{name}.{attr}" for name, obj in parts.items()
              for attr, v in vars(obj).items() if isinstance(v, list)}
-    assert lists == {"nav.sampled"}
+    assert lists == set()
     for bc in (ix.bc, ix.packed.bc):
         assert not hasattr(bc, "code") and not hasattr(bc, "sa")
     for attr in ("parent", "leaves", "start", "ref"):

@@ -9,7 +9,8 @@ from lcex.oracle import naive_lce
 from lcex.textstore import load_text
 from lcex.tst import build_tst
 
-from conftest import FIG_W, TWIN_CASES, built_and_loaded, decode_syms, fib_word
+from conftest import (FIG_W, TWIN_CASES, built_and_loaded, decode_syms, fib_word,
+                      random_text)
 
 
 def make(raw, t):
@@ -161,7 +162,8 @@ def test_every_node_reaches_root():
 def test_capped_lifting_level_ancestor_exact(t):
     for raw in (fib_word(120), bytes(random.Random(t).choice(b"abc") for _ in range(90))):
         text, tree, nav = make(raw, t)
-        assert len(nav.lift) == max(1, (t - 1).bit_length())
+        assert len(nav.lift) == t
+        assert len(nav.lift[0]) <= min(nav.node_count, -(-text.n // t))
         for v in range(nav.node_count):
             u = v
             for d in range(nav.depth[v] + 1):
@@ -175,3 +177,42 @@ def test_locate_batch_matches_locate(raw, t, tp):
     for ix in built_and_loaded(raw, t, tp):
         I = np.arange(1, ix.n + 1, dtype=np.int64)
         assert ix.nav.locate_batch(I).tolist() == [ix.nav.locate(i) for i in range(1, ix.n + 1)]
+
+
+def _walk(nav, v, d):
+    for _ in range(d):
+        v = int(nav.parent[v])
+    return v
+
+
+def _check_locate(ix):
+    nav, tp = ix.nav, ix.t_prime
+    assert isinstance(nav.sampled, np.ndarray) and nav.sampled.dtype == np.int64
+    want = [_walk(nav, int(nav.sampled[(i - 1) // tp]), (i - 1) % tp)
+            for i in range(1, ix.n + 1)]
+    assert [nav.locate(i) for i in range(1, ix.n + 1)] == want
+    got = nav.locate_batch(np.arange(1, ix.n + 1, dtype=np.int64))
+    assert got.dtype == np.int64 and got.tolist() == want
+
+
+@pytest.mark.parametrize("tp", range(1, 9))
+def test_jump_table_locate_is_a_parent_walk(tp):
+    for n in (2 * tp, 2 * tp + 1, 5 * tp + 1):
+        for ix in built_and_loaded(random_text(n - 1, 3, seed=n), tp, tp):
+            assert ix.n == n
+            _check_locate(ix)
+
+
+def test_jump_table_at_256_leaves():
+    # leaf ranks reach 255, the top of a uint8 jump table; locate_batch must
+    # still return int64, since np.minimum(u, v) + 1 in lca_prefix_len_batch
+    # wraps 255 to 0 in uint8
+    for ix in built_and_loaded(random_text(255, 4, seed=1), 8, 8):
+        assert ix.tree.leaf_count == 256 and ix.nav.lift_np.dtype == np.uint8
+        _check_locate(ix)
+        nav, tree = ix.nav, ix.tree
+        I = np.arange(1, ix.n + 1, dtype=np.int64)
+        J = np.full(ix.n, [nav.locate(i) for i in I].index(255) + 1, dtype=np.int64)
+        got = tree.lca_prefix_len_batch(nav.locate_batch(I), nav.locate_batch(J))
+        assert got.tolist() == [tree.lca_prefix_len(nav.locate(i), nav.locate(j))
+                                for i, j in zip(I.tolist(), J.tolist())]
