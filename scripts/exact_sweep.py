@@ -19,7 +19,8 @@ Prints one JSON line: the number of builds and checked pairs, mismatches per
 path (``roundtrip`` counts containers that do not dump back to themselves),
 exceptions by path and type, the run time, and last one SHA-256 over every
 container in build order.  Equal digests at two commits mean byte-identical
-containers.
+containers.  Exits 1 when it counts any mismatch, roundtrip failure or
+exception, else 0.
 
     PYTHONPATH=src python scripts/exact_sweep.py
 """
@@ -129,7 +130,7 @@ def main() -> int:
                       "exceptions": dict(sorted(exceptions.items())),
                       "seconds": round(time.perf_counter() - start, 1),
                       "sha256": digest.hexdigest()}))
-    return 0
+    return int(any(mismatches.values()) or bool(exceptions))
 
 
 if __name__ == "__main__":

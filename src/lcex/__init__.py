@@ -12,11 +12,11 @@ from .container import dump_index, load_index, load_index_file, save_index
 from .diffcover import CoverIndex, DifferenceCover, build_cover_index, build_difference_cover
 from .errors import (EmptyInput, FormatError, LcexError, OutOfRange,
                      ParamOutOfRange, SentinelCollision)
-from .lce import LceIndex, SpaceStats, build_index, lce, tune_tau
+from .lce import LceIndex, SpaceStats, build_index, tune_tau
 from .lz77 import LZFactorization, lz77_factorize
 from .navtree import NavTree, build_navtree, short_lce
 from .oracle import IsaOracle, naive_lce
-from .packed import PackedLce, PackedText, bit_short_lce, build_packed, pack, packed_lce
+from .packed import PackedLce, PackedText, bit_short_lce, build_packed, pack
 from .textstore import Text, load_file, load_text, substring
 from .tst import TruncatedSuffixTree, build_tst, compact_reference
 
@@ -29,9 +29,9 @@ __all__ = [
     "SentinelCollision", "SpaceStats", "Text", "TruncatedSuffixTree",
     "bit_short_lce", "build_blockcode", "build_cover_index",
     "build_difference_cover", "build_index", "build_navtree", "build_packed",
-    "build_tst", "compact_reference", "dump_index", "lce", "lce_batch",
+    "build_tst", "compact_reference", "dump_index", "lce_batch",
     "load_file", "load_index", "load_index_file", "load_text",
-    "lz77_factorize", "naive_lce", "pack", "packed_lce",
+    "lz77_factorize", "naive_lce", "pack",
     "rank_blocks", "save_index", "short_lce", "short_lce_batch", "substring",
     "tune_tau",
 ]

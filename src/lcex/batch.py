@@ -17,11 +17,13 @@ from .lce import LceIndex
 
 
 def _checked(ix: LceIndex, I, J) -> tuple[np.ndarray, np.ndarray]:
-    """I and J as int64 arrays: 1-D of one length, every position in [1..n]."""
-    I = np.asarray(I, dtype=np.int64)
-    J = np.asarray(J, dtype=np.int64)
+    """I and J as int64 arrays: 1-D of one length, integer unless empty, all in [1..n]."""
+    I, J = np.asarray(I), np.asarray(J)
     if I.ndim != 1 or I.shape != J.shape:
         raise ValueError(f"I and J must be 1-D of one length, not {I.shape} and {J.shape}")
+    if len(I) and (I.dtype.kind not in "iu" or J.dtype.kind not in "iu"):
+        raise TypeError(f"positions must be integers, not {I.dtype} and {J.dtype}")
+    I, J = I.astype(np.int64, copy=False), J.astype(np.int64, copy=False)
     if len(I) and (min(I.min(), J.min()) < 1 or max(I.max(), J.max()) > ix.n):
         raise OutOfRange(f"batch positions out of [1..{ix.n}]")
     return I, J

@@ -43,8 +43,8 @@ class BlockCode:
         self.n = cover.n
         self.cover = cover
         self.isa = isa
-        self.lcp = lcp
         self.rmq = SparseMin(lcp)
+        self.lcp = self.rmq.table[0]   # held once, as the RMQ's level 0
         # the scalar path reads Python ints from a zero-copy view
         self._isa_view = memoryview(isa)
 

@@ -23,9 +23,11 @@ chosen deterministically from their value range, so serialize(load(b))
 reproduces b byte for byte; bytes after the last field of a section or
 after the last section are a format error.  Every array is range-checked
 on load, one vectorized check each, so that it cannot index past a table.
-Load rebuilds only two sparse tables (over the leaf LCPs and the block
-code's LCPs) and the navigation jump table: per distinct sampled leaf, its
-ancestors at 0..t'-1 steps, at most min(leaves, ceil(n/t')) rows.
+Load rebuilds only the sparse tables over the leaf LCPs, the block code's
+LCPs and, when packed, the packed block code's LCPs (each LCP array is its
+table's level 0) and the navigation jump table, which also holds
+``sampled``: per distinct sampled leaf, its ancestors at 0..t'-1 steps,
+min(leaves, ceil(n/t')) * t' entries at most.
 """
 
 from __future__ import annotations
@@ -291,8 +293,7 @@ def load_index(data: bytes):
                           f"need {-(-n // t_prime)}")
     _check("navigation tree", len(parent) == leaves and _within(parent, 0, leaves)
            and root < leaves and _within(sampled, 0, leaves))
-    nav = NavTree(t=nav_t, n=nav_n, parent=parent, root=root,
-                  sampled=sampled.astype(np.int64))
+    nav = NavTree(t=nav_t, n=nav_n, parent=parent, root=root, sampled=sampled)
     # the unique sentinel is the root: a depth-1 leaf, its own parent, and
     # the leaf at position n
     _check("navigation root", parent[root] == root and tree.lca_prefix_len(root, root) == 1

@@ -59,7 +59,7 @@ def _compose(n: int, t: int, capped, bc: _bc.BlockCode, i: int, j: int) -> int:
     """LCE(i, j) for in-range i, j over n positions, from a min(LCE, t)
     primitive ``capped`` and the block code ``bc`` of block length t, which
     only the block path reads.  ``LceIndex.lce``, ``lce_instrumented`` and
-    ``packed.bit_lce`` all answer through it.
+    ``PackedLce.lce``/``bit_lce`` all answer through it.
 
     l1 = t puts i, j <= n-t+1 (n-t behind a text's unique sentinel), so
     i+delta, j+delta <= n, and ``long_lce`` counts 0 for a block past the
@@ -185,10 +185,10 @@ def build_index(t: Text, t_param: int, t_prime: int | None = None,
         tst_nodes=tree.node_count,
         tst_ref_len=ref_len,
         nav_nodes=nav.node_count,
-        sampled_count=len(nav.sampled),
+        sampled_count=len(nav.row_np),
         code_len=bc.code_len,
         estimated_words=estimated_words(
-            tree.node_count, ref_len, nav.node_count, len(nav.sampled), bc.code_len),
+            tree.node_count, ref_len, nav.node_count, len(nav.row_np), bc.code_len),
         z=z, n=n, t=t_param, t_prime=tp,
     )
     return LceIndex(n=n, t=t_param, t_prime=tp, sigma=t.sigma,
@@ -196,14 +196,10 @@ def build_index(t: Text, t_param: int, t_prime: int | None = None,
                     stats=stats, packed=pk)
 
 
-def lce(ix: LceIndex, i: int, j: int) -> int:
-    return ix.lce(i, j)
-
-
 def truncated_leaf_counts(t: Text) -> tuple[np.ndarray, np.ndarray]:
-    """The text's one suffix-array pass, enabling O(1) leaf-count probes for
-    any depth: the q-clipped distinct-suffix count is n minus the LCP entries
-    >= q."""
+    """The text's one suffix-array pass, from which the leaf count at any
+    depth q follows: the q-clipped distinct-suffix count is n minus the LCP
+    entries >= q.  Each probe is one O(n) count over the LCP array."""
     return t.suffix_array(), t.lcp_array()
 
 

@@ -19,14 +19,15 @@ from .tst import LeafTable
 
 
 class NavTree:
-    """Parent links over trie leaves, sampled pointers and their jump table.
+    """Parent links over trie leaves and the jump table of sampled pointers.
 
     ``parent`` maps the root to itself; ``sampled[k]`` is the node of
     position k*t'+1.  ``locate`` climbs d < t' parents from a sampled node,
     so one row per distinct sampled node, holding its ancestors at 0..t'-1
-    steps, answers it with one read.  There are at most
-    min(leaves, ceil(n/t')) rows, O(z*tau^2) words.  ``locate_batch`` is
-    the batch ``locate``; ``level_ancestor`` walks parents.
+    steps, answers it with one read: min(leaves, ceil(n/t')) * t' entries
+    at most (963,584 for the Fibonacci word at n = 1e6, t = t' = 1024).
+    ``sampled`` is ``lift_np[0][row_np]``.  ``locate_batch`` is the batch
+    ``locate``; ``level_ancestor`` walks parents.
     """
 
     def __init__(self, t: int, n: int, parent: np.ndarray, root: int,
@@ -35,7 +36,6 @@ class NavTree:
         self.n = n
         self.parent = parent
         self.root = root
-        self.sampled = sampled
         # lift_np[d][r] is the d-th ancestor of the r-th distinct sampled
         # node and row_np[k] the row of sampled[k], both in their narrowest
         # unsigned dtype; the scalar path reads zero-copy memoryviews
@@ -55,6 +55,11 @@ class NavTree:
     @property
     def node_count(self) -> int:
         return len(self.parent)
+
+    @property
+    def sampled(self) -> np.ndarray:
+        """The node of every t'-th position, as int64 (a fresh array)."""
+        return self.lift_np[0][self.row_np].astype(np.int64)
 
     @cached_property
     def depth(self) -> np.ndarray:
@@ -102,7 +107,7 @@ def build_navtree(t: Text, tree: LeafTable, blk: int) -> NavTree:
     root = int(lop[n - 1])
     parent = lop[rightmost + 1]
     parent[root] = root
-    return NavTree(t=blk, n=n, parent=parent, root=root, sampled=lop[::blk].copy())
+    return NavTree(t=blk, n=n, parent=parent, root=root, sampled=lop[::blk])
 
 
 def short_lce(nav: NavTree, tree: LeafTable, i: int, j: int) -> int:

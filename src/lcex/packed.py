@@ -116,23 +116,6 @@ def build_bit_blockcode(pt: PackedText) -> BlockCode:
     return build_blockcode(*bit_block_ranks(pt))
 
 
-def bit_lce(pt: PackedText, bc: BlockCode, bi: int, bj: int) -> int:
-    """Exact bit-level LCE by the same decompose-align-finish algorithm."""
-    bi, bj = operator.index(bi), operator.index(bj)
-    if not (1 <= bi <= pt.nbits and 1 <= bj <= pt.nbits):
-        raise OutOfRange(f"bit positions ({bi},{bj}) not in [1..{pt.nbits}]")
-    return _compose(pt.nbits, pt.word_size, partial(_capped, pt), bc, bi, bj)
-
-
-def packed_lce(pt: PackedText, bc: BlockCode, i: int, j: int) -> int:
-    """Symbol-level LCE recovered as floor(bitLCE / b)."""
-    i, j = operator.index(i), operator.index(j)
-    if not (1 <= i <= pt.n and 1 <= j <= pt.n):
-        raise OutOfRange(f"positions ({i},{j}) not in [1..{pt.n}]")
-    b = pt.b
-    return bit_lce(pt, bc, (i - 1) * b + 1, (j - 1) * b + 1) // b
-
-
 @dataclass
 class PackedLce:
     """Bundled packed text and its bit-level block code."""
@@ -141,10 +124,22 @@ class PackedLce:
     bc: BlockCode
 
     def lce(self, i: int, j: int) -> int:
-        return packed_lce(self.pt, self.bc, i, j)
+        """Symbol-level LCE recovered as floor(bitLCE / b)."""
+        pt = self.pt
+        i, j = operator.index(i), operator.index(j)
+        if not (1 <= i <= pt.n and 1 <= j <= pt.n):
+            raise OutOfRange(f"positions ({i},{j}) not in [1..{pt.n}]")
+        b = pt.b
+        return _compose(pt.nbits, pt.word_size, partial(_capped, pt), self.bc,
+                        (i - 1) * b + 1, (j - 1) * b + 1) // b
 
     def bit_lce(self, bi: int, bj: int) -> int:
-        return bit_lce(self.pt, self.bc, bi, bj)
+        """Exact bit-level LCE by the same decompose-align-finish algorithm."""
+        pt = self.pt
+        bi, bj = operator.index(bi), operator.index(bj)
+        if not (1 <= bi <= pt.nbits and 1 <= bj <= pt.nbits):
+            raise OutOfRange(f"bit positions ({bi},{bj}) not in [1..{pt.nbits}]")
+        return _compose(pt.nbits, pt.word_size, partial(_capped, pt), self.bc, bi, bj)
 
 
 def build_packed(t: Text, word_size: int = 64) -> PackedLce:

@@ -35,7 +35,6 @@ class LeafTable:
                  short_depth: np.ndarray, alphabet: np.ndarray):
         self.q = q
         self.n = n
-        self.leaf_lcp = leaf_lcp
         self.short_leaf = short_leaf
         self.short_depth = short_depth
         self.alphabet = alphabet
@@ -43,9 +42,10 @@ class LeafTable:
         self.depth = np.full(len(leaf_lcp), q, dtype=np.min_scalar_type(q))
         self.depth[short_leaf] = short_depth
         self._depth = memoryview(self.depth)
-        # range minimum over leaf_lcp: the LCA depth of two leaves (the name
-        # predates it; perfbench/worker.py reads the attribute)
+        # range minimum over leaf_lcp, held once as the table's level 0: the
+        # LCA depth of two leaves (an old name that perfbench/worker.py reads)
         self.tour_sparse = SparseMin(leaf_lcp)
+        self.leaf_lcp = self.tour_sparse.table[0]
         self.nav_parent: np.ndarray | None = None
         # transient: position -> leaf rank and each leaf's leftmost 0-based
         # occurrence, dropped once dependents are built

@@ -107,6 +107,20 @@ def test_batch_entry_points_reject_mismatched_shapes(entry, I, J):
         entry(ix, np.array(I), np.array(J))
 
 
+@pytest.mark.parametrize("entry", [lce_batch, short_lce_batch])
+@pytest.mark.parametrize("I,J", [([1.9, 3.5], [2.2, 11.0]), ([1.0], [9.0]), (["1"], ["2"]),
+                                 ([1, 2], [3.0, 4.0])])
+def test_batch_entry_points_reject_non_integer(entry, I, J):
+    # the scalar lce raises TypeError for the same positions; an empty
+    # input of the same dtype is still an empty answer
+    ix = build_index(load_text(FIG_W), 2)
+    with pytest.raises(TypeError):
+        ix.lce(I[-1], J[-1])
+    with pytest.raises(TypeError):
+        entry(ix, I, J)
+    assert entry(ix, np.array(I)[:0], np.array(J)[:0]).tolist() == []
+
+
 def test_batch_entry_points_accept_sequences():
     text = load_text(fib_word(120))
     ix = build_index(text, 4, 2)

@@ -302,7 +302,28 @@ def _past_segment(bc, k=4):
     return _set(bc.lcp, k, value)
 
 
-# one field of a built index pushed out of the range the loader accepts
+def _with_sampled(ix, k, value) -> bytes:
+    """The container of ix with entry k of the navtree's serialized
+    ``sampled`` set to value, the section re-encoded and re-prefixed."""
+    blob = dump_index(ix)
+    start, end = section_offsets(blob)[2:4]
+    r = _Reader(blob[start:end - 8])
+    nav_t, nav_n, parent, root = r.u64(), r.u64(), r.array(), r.u64()
+    sampled = _set(r.array(), k, value)
+    r.end()
+    w = _Writer()
+    w.u64(nav_t)
+    w.u64(nav_n)
+    w.array(parent)
+    w.u64(root)
+    w.array(sampled)
+    payload = w.getvalue()
+    return blob[:start - 8] + struct.pack("<Q", len(payload)) + payload + blob[end - 8:]
+
+
+# one field of a built index pushed out of the range the loader accepts: an
+# entry changes the index in place, or returns the container with one
+# serialized field changed where the index does not hold that field
 OUT_OF_RANGE = {
     "leaf_lcp first": lambda ix: setattr(ix.tree, "leaf_lcp", _set(ix.tree.leaf_lcp, 0, 1)),
     "leaf_lcp at q": lambda ix: setattr(ix.tree, "leaf_lcp", _set(ix.tree.leaf_lcp, 7, 6)),
@@ -321,9 +342,9 @@ OUT_OF_RANGE = {
     "nav parent length": lambda ix: setattr(ix.nav, "parent", ix.nav.parent[:-1]),
     "nav root": lambda ix: setattr(ix.nav, "root", ix.tree.leaf_count),
     "nav root not the sentinel": lambda ix: setattr(ix.nav, "root", (ix.nav.root + 1) % 50),
-    "last sampled not the sentinel": lambda ix: ix.nav.sampled.__setitem__(-1, 1),
-    "sampled": lambda ix: ix.nav.sampled.__setitem__(2, ix.tree.leaf_count),
-    "sampled negative": lambda ix: ix.nav.sampled.__setitem__(2, -1),
+    "last sampled not the sentinel": lambda ix: _with_sampled(ix, -1, 1),
+    "sampled": lambda ix: _with_sampled(ix, 2, ix.tree.leaf_count),
+    "sampled negative": lambda ix: _with_sampled(ix, 2, -1),
     "isa repeated": lambda ix: setattr(ix.bc, "isa", _set(ix.bc.isa, 0, ix.bc.isa[1])),
     "isa past code": lambda ix: setattr(ix.bc, "isa", _set(ix.bc.isa, 0, ix.bc.code_len)),
     "lcp past code": lambda ix: setattr(ix.bc, "lcp", _set(ix.bc.lcp, 4, ix.bc.code_len)),
@@ -362,28 +383,34 @@ def test_lcp_into_the_sentinel_block_rejected():
 def test_out_of_range_field_rejected(field):
     ix = build_index(load_text(random_text(300, 4, seed=5)), 6, 3, packed=True)
     load_index(dump_index(ix))
-    OUT_OF_RANGE[field](ix)
+    bad = OUT_OF_RANGE[field](ix)
     with pytest.raises(FormatError, match="range"):
-        load_index(dump_index(ix))
+        load_index(dump_index(ix) if bad is None else bad)
 
 
 def test_loaded_index_keeps_only_query_state():
     text = load_text(random_text(400, 4, seed=2))
-    ix = load_index(dump_index(build_index(text, 6, 3, packed=True)))
-    ix.lce(1, 2)
-    lce_batch(ix, np.arange(1, 40), np.arange(41, 80))
-    parts = {"tree": ix.tree, "nav": ix.nav, "bc": ix.bc, "packed.bc": ix.packed.bc}
-    lists = {f"{name}.{attr}" for name, obj in parts.items()
-             for attr, v in vars(obj).items() if isinstance(v, list)}
-    assert lists == set()
-    for bc in (ix.bc, ix.packed.bc):
-        assert not hasattr(bc, "code") and not hasattr(bc, "sa")
-    for attr in ("parent", "leaves", "start", "ref"):
-        assert not hasattr(ix.tree, attr)
-    for arr in (ix.tree.leaf_lcp, ix.tree.short_leaf, ix.tree.short_depth,
-                ix.tree.alphabet, ix.nav.parent):
-        assert isinstance(arr, np.ndarray)
-    assert ix.tree.nav_parent is ix.nav.parent
+    built = build_index(text, 6, 3, packed=True)
+    for ix in (built, load_index(dump_index(built))):
+        ix.lce(1, 2)
+        lce_batch(ix, np.arange(1, 40), np.arange(41, 80))
+        parts = {"tree": ix.tree, "nav": ix.nav, "bc": ix.bc, "packed.bc": ix.packed.bc}
+        lists = {f"{name}.{attr}" for name, obj in parts.items()
+                 for attr, v in vars(obj).items() if isinstance(v, list)}
+        assert lists == set()
+        for bc in (ix.bc, ix.packed.bc):
+            assert not hasattr(bc, "code") and not hasattr(bc, "sa")
+            # the block code's lcp is its RMQ's level 0, not a second copy
+            assert np.shares_memory(bc.lcp, bc.rmq.table)
+        for attr in ("parent", "leaves", "start", "ref"):
+            assert not hasattr(ix.tree, attr)
+        for arr in (ix.tree.leaf_lcp, ix.tree.short_leaf, ix.tree.short_depth,
+                    ix.tree.alphabet, ix.nav.parent):
+            assert isinstance(arr, np.ndarray)
+        assert np.shares_memory(ix.tree.leaf_lcp, ix.tree.tour_sparse.table)
+        assert ix.tree.nav_parent is ix.nav.parent
+        # sampled is read back from the jump table, not stored
+        assert "sampled" not in vars(ix.nav)
 
 
 def test_file_roundtrip(tmp_path):

@@ -10,8 +10,7 @@ from lcex.oracle import naive_lce
 from lcex.blockcode import assemble_code
 from lcex.diffcover import build_cover_index, build_difference_cover
 from lcex.packed import (_PAD, _fetch_words, bit_block_ranks, bit_short_lce,
-                         build_bit_blockcode, build_packed, leading_equal_bits, pack,
-                         packed_lce)
+                         build_bit_blockcode, build_packed, leading_equal_bits, pack)
 from lcex.textstore import load_text
 
 from conftest import FIG_W, random_text
