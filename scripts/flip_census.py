@@ -15,7 +15,9 @@ pair whose first position is among the last 21, and ``ix.lce`` on every
 
 Prints one JSON line: the counts per outcome, then per container section
 (``header`` is the magic, version and flags; a section's length prefix
-counts with its section).
+counts with its section).  Exits 1 when any flip has an outcome other than
+the first three: a corrupt container must load exactly or raise
+``FormatError``, never ``IndexError``, ``MemoryError`` or the like.
 
     PYTHONPATH=src python scripts/flip_census.py
 """
@@ -32,6 +34,7 @@ import lcex
 from lcex.oracle import naive_lce_table
 
 SECTIONS = ("params", "tst", "navtree", "blockcode", "stats", "packed")
+OUTCOMES = {"FormatError", "exact", "wrong"}
 
 
 def random_text(n: int, sigma: int, seed: int) -> bytes:
@@ -98,7 +101,7 @@ def main() -> int:
         "outcomes": dict(sorted(totals.items())),
         "sections": {k: dict(sorted(v.items())) for k, v in per_section.items()},
     }))
-    return 0
+    return 0 if set(totals) <= OUTCOMES else 1
 
 
 if __name__ == "__main__":

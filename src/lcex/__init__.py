@@ -10,8 +10,7 @@ from .batch import lce_batch, short_lce_batch
 from .blockcode import BlockCode, build_blockcode, rank_blocks
 from .container import dump_index, load_index, load_index_file, save_index
 from .diffcover import CoverIndex, DifferenceCover, build_cover_index, build_difference_cover
-from .errors import (EmptyInput, FormatError, LcexError, OutOfRange,
-                     ParamOutOfRange, SentinelCollision)
+from .errors import EmptyInput, FormatError, LcexError, OutOfRange, ParamOutOfRange
 from .lce import LceIndex, SpaceStats, build_index, tune_tau
 from .lz77 import LZFactorization, lz77_factorize
 from .navtree import NavTree, build_navtree, short_lce
@@ -26,7 +25,7 @@ __all__ = [
     "BlockCode", "CoverIndex", "DifferenceCover", "EmptyInput", "FormatError",
     "IsaOracle", "LZFactorization", "LceIndex", "LcexError", "NavTree",
     "OutOfRange", "PackedLce", "PackedText", "ParamOutOfRange",
-    "SentinelCollision", "SpaceStats", "Text", "TruncatedSuffixTree",
+    "SpaceStats", "Text", "TruncatedSuffixTree",
     "bit_short_lce", "build_blockcode", "build_cover_index",
     "build_difference_cover", "build_index", "build_navtree", "build_packed",
     "build_tst", "compact_reference", "dump_index", "lce_batch",

@@ -4,7 +4,8 @@ Layout (version 4): magic "LCEX", version u16, flags u16, then
 length-prefixed sections in fixed order, holding only what a query or the
 leaf-string decoder reads:
 
-- params: n, t, t', sigma, sentinel;
+- params: n, t, t', sigma, and the sentinel symbol, always 0 (any other
+  value is a format error);
 - tst: q, n, then leaf_lcp, the ranks and depths of the leaves shorter
   than q, and the sorted alphabet (no trie nodes: leaf strings decode
   through the navigation parents);
@@ -16,7 +17,8 @@ leaf-string decoder reads:
   version;
 - stats: the SpaceStats fields;
 - packed, when flag bit 0 is set: the packed text, then its bit block code
-  laid out as in blockcode.
+  laid out as in blockcode.  No other flag bit is defined; a set one is a
+  format error.
 
 All integers are fixed-width little-endian.  Arrays carry a dtype tag
 chosen deterministically from their value range, so serialize(load(b))
@@ -188,7 +190,7 @@ def dump_index(ix) -> bytes:
     out.write(struct.pack("<HH", VERSION, flags))
 
     w = _Writer()
-    for v in (ix.n, ix.t, ix.t_prime, ix.sigma, ix.sentinel):
+    for v in (ix.n, ix.t, ix.t_prime, ix.sigma, 0):   # 0: the text's sentinel
         w.u64(v)
     out.write(_section(w))
 
@@ -251,11 +253,15 @@ def load_index(data: bytes):
     version, flags = struct.unpack("<HH", data[4:8])
     if version != VERSION:
         raise FormatError(f"unsupported version {version}")
+    if flags & ~FLAG_PACKED:
+        raise FormatError(f"unknown flag bits {flags & ~FLAG_PACKED:#x}")
     body = _Reader(memoryview(data)[8:])   # sections are zero-copy slices
 
     r = body.section()
     n, t, t_prime, sigma, sentinel = (r.u64() for _ in range(5))
     r.end()
+    if sentinel != 0:
+        raise FormatError(f"sentinel {sentinel} is not 0")
     if not (1 <= t_prime <= t <= n and 2 * t_prime <= n):
         raise FormatError(f"params need 1 <= t'={t_prime} <= t={t} <= n={n} and 2t' <= n")
 
@@ -334,8 +340,8 @@ def load_index(data: bytes):
         packed_obj = PackedLce(pt=pt, bc=pbc)
     body.end()
 
-    return LceIndex(n=n, t=t, t_prime=t_prime, sigma=sigma, sentinel=sentinel,
-                    tree=tree, nav=nav, bc=bc, stats=stats, packed=packed_obj)
+    return LceIndex(n=n, t=t, t_prime=t_prime, sigma=sigma, tree=tree, nav=nav,
+                    bc=bc, stats=stats, packed=packed_obj)
 
 
 def save_index(ix, path: str) -> int:

@@ -9,10 +9,6 @@ class EmptyInput(LcexError):
     """Raised when an input string is empty."""
 
 
-class SentinelCollision(LcexError):
-    """Raised when an explicit sentinel occurs inside the input."""
-
-
 class OutOfRange(LcexError):
     """Raised when a 1-based position lies outside [1..n]."""
 

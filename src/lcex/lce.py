@@ -11,6 +11,7 @@ positions at or below n-t, and a block that runs past the text counts 0.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import partial
 
@@ -84,14 +85,13 @@ class LceIndex:
     from the component structures alone.
     """
 
-    def __init__(self, n: int, t: int, t_prime: int, sigma: int, sentinel: int,
+    def __init__(self, n: int, t: int, t_prime: int, sigma: int,
                  tree: _tst.LeafTable, nav: _nav.NavTree,
                  bc: _bc.BlockCode, stats: SpaceStats, packed=None):
         self.n = n
         self.t = t
         self.t_prime = t_prime
         self.sigma = sigma
-        self.sentinel = sentinel
         self.tree = tree
         self.nav = nav
         self.bc = bc
@@ -125,6 +125,7 @@ class LceIndex:
         circuits before touching any structure.
         """
         n = self.n
+        i, j = operator.index(i), operator.index(j)
         if not (1 <= i <= n and 1 <= j <= n):
             raise OutOfRange(f"positions ({i},{j}) not in [1..{n}]")
         return _compose(n, self.t, self._capped, self.bc, i, j)
@@ -133,6 +134,7 @@ class LceIndex:
         """lce plus sub-call accounting: total capped-LCE sub-calls for the
         query and the maximum within any single chained invocation."""
         n = self.n
+        i, j = operator.index(i), operator.index(j)
         if not (1 <= i <= n and 1 <= j <= n):
             raise OutOfRange(f"positions ({i},{j}) not in [1..{n}]")
         calls: list[int] = []
@@ -143,6 +145,7 @@ class LceIndex:
     def short_lce(self, i: int, j: int) -> int:
         """min(LCE(i, j), t), chained through the t' structure when t' < t."""
         n = self.n
+        i, j = operator.index(i), operator.index(j)
         if not (1 <= i <= n and 1 <= j <= n):
             raise OutOfRange(f"positions ({i},{j}) not in [1..{n}]")
         if i == j:
@@ -191,9 +194,8 @@ def build_index(t: Text, t_param: int, t_prime: int | None = None,
             tree.node_count, ref_len, nav.node_count, len(nav.row_np), bc.code_len),
         z=z, n=n, t=t_param, t_prime=tp,
     )
-    return LceIndex(n=n, t=t_param, t_prime=tp, sigma=t.sigma,
-                    sentinel=t.sentinel, tree=tree, nav=nav, bc=bc,
-                    stats=stats, packed=pk)
+    return LceIndex(n=n, t=t_param, t_prime=tp, sigma=t.sigma, tree=tree,
+                    nav=nav, bc=bc, stats=stats, packed=pk)
 
 
 def truncated_leaf_counts(t: Text) -> tuple[np.ndarray, np.ndarray]:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import OutOfRange
 from .suffixes import SparseMin, inverse_permutation, lcp_array, suffix_array
 from .textstore import Text
 
@@ -46,8 +47,6 @@ class IsaOracle:
     def lce(self, i: int, j: int) -> int:
         """LCE for distinct positions via one range-minimum over the LCP array."""
         if not (1 <= i <= self.n and 1 <= j <= self.n):
-            from .errors import OutOfRange
-
             raise OutOfRange(f"positions ({i},{j}) not in [1..{self.n}]")
         if i == j:
             return self.n - i + 1

@@ -61,9 +61,8 @@ def pack(t: Text, word_size: int = 64) -> PackedText:
 
 
 def leading_equal_bits(x: int, width: int) -> int:
-    """Bits before the most significant set bit of x, within width."""
-    if x == 0:
-        return width
+    """Bits before the most significant set bit of x, within width (all of
+    them when x is 0)."""
     return width - x.bit_length()
 
 

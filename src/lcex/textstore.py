@@ -1,13 +1,15 @@
-"""Byte-string container with 1-based addressing and sentinel discipline."""
+"""Input text: bytes remapped to 1..sigma-1 with the sentinel 0 appended,
+addressed 1..n."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
 from . import suffixes
-from .errors import EmptyInput, OutOfRange, SentinelCollision
+from .errors import EmptyInput, OutOfRange
 
 DISPLAY_SENTINEL = ord("$")
 
@@ -17,23 +19,19 @@ class Text:
     """A sentinel-terminated symbol string, addressed 1..n.
 
     ``arr`` holds internal symbol values; position ``i`` lives at ``arr[i-1]``.
-    Under the auto sentinel policy the original bytes are remapped to
-    ``1..sigma-1`` and the sentinel is 0 (lexicographically smallest), with
-    ``remap`` translating internal values back to original bytes.
+    The original bytes are remapped to ``1..sigma-1`` in byte order and the
+    sentinel is 0 (lexicographically smallest); ``remap`` translates
+    internal values back to original bytes.
     """
 
     arr: np.ndarray
     n: int
     sigma: int
-    sentinel: int
     remap: np.ndarray | None = None
+    sentinel: ClassVar[int] = 0
     _symbols: list | None = field(default=None, repr=False, compare=False)
     _sa: np.ndarray | None = field(default=None, repr=False, compare=False)
     _lcp: np.ndarray | None = field(default=None, repr=False, compare=False)
-
-    @property
-    def data(self) -> np.ndarray:
-        return self.arr
 
     def symbols(self) -> list:
         """Internal symbols as a plain list (cached; fast for scalar scans)."""
@@ -65,57 +63,35 @@ class Text:
                 raise OutOfRange(f"position {p} not in [1..{self.n}]")
 
 
-def load_text(raw: bytes, sentinel: int | None = None) -> Text:
-    """Build a Text from raw bytes, appending a sentinel.
-
-    ``sentinel=None`` selects the auto policy: symbols are remapped so the
-    appended sentinel (internal value 0) is strictly smaller than everything
-    else.  An explicit ``sentinel`` byte is appended as-is and must not occur
-    in ``raw``.
-    """
+def load_text(raw: bytes) -> Text:
+    """Build a Text from raw bytes: each byte is remapped to its rank
+    ``1..sigma-1`` among the distinct bytes, and the sentinel 0, strictly
+    smaller than every symbol, is appended."""
     if len(raw) == 0:
         raise EmptyInput("input must be non-empty")
     vals = np.frombuffer(bytes(raw), dtype=np.uint8)
-    if sentinel is None:
-        uniq = np.unique(vals)
-        table = np.zeros(256, dtype=np.uint16)
-        table[uniq] = np.arange(1, len(uniq) + 1, dtype=np.uint16)
-        mapped = table[vals]
-        sigma = len(uniq) + 1
-        dtype = np.uint8 if sigma <= 255 else np.uint16
-        arr = np.empty(len(raw) + 1, dtype=dtype)
-        arr[:-1] = mapped
-        arr[-1] = 0
-        remap = np.empty(sigma, dtype=np.uint8)
-        remap[0] = DISPLAY_SENTINEL
-        remap[1:] = uniq
-        return Text(arr=arr, n=len(arr), sigma=sigma, sentinel=0, remap=remap)
-    s = int(sentinel)
-    if not 0 <= s <= 255:
-        raise SentinelCollision(f"sentinel {s} is not a byte")
-    if (vals == s).any():
-        raise SentinelCollision(f"sentinel byte {s!r} occurs in the input")
-    arr = np.empty(len(raw) + 1, dtype=np.uint8)
-    arr[:-1] = vals
-    arr[-1] = s
-    sigma = len(np.unique(arr))
-    return Text(arr=arr, n=len(arr), sigma=sigma, sentinel=s, remap=None)
+    uniq = np.unique(vals)
+    table = np.zeros(256, dtype=np.uint16)
+    table[uniq] = np.arange(1, len(uniq) + 1, dtype=np.uint16)
+    sigma = len(uniq) + 1
+    arr = np.empty(len(raw) + 1, dtype=np.uint8 if sigma <= 255 else np.uint16)
+    arr[:-1] = table[vals]
+    arr[-1] = 0
+    remap = np.empty(sigma, dtype=np.uint8)
+    remap[0] = DISPLAY_SENTINEL
+    remap[1:] = uniq
+    return Text(arr=arr, n=len(arr), sigma=sigma, remap=remap)
 
 
-def load_file(path: str, sentinel: int | None = None) -> Text:
+def load_file(path: str) -> Text:
     """Read a file as uninterpreted bytes and wrap it in a Text."""
     with open(path, "rb") as fh:
-        return load_text(fh.read(), sentinel)
+        return load_text(fh.read())
 
 
 def substring(t: Text, i: int, j: int) -> bytes:
-    """Return positions i..j inclusive, expressed on original symbols.
-
-    Under the auto policy the sentinel renders as ``$`` (display convention).
-    """
+    """Return positions i..j inclusive, expressed on original symbols; the
+    sentinel renders as ``$`` (display convention)."""
     if not (1 <= i <= j <= t.n):
         raise OutOfRange(f"substring range ({i},{j}) not within [1..{t.n}]")
-    piece = t.arr[i - 1 : j]
-    if t.remap is None:
-        return piece.astype(np.uint8).tobytes()
-    return t.remap[piece].tobytes()
+    return t.remap[t.arr[i - 1 : j]].tobytes()

@@ -58,8 +58,6 @@ def all_binary_strings(max_len: int):
 
 def decode_syms(text, syms) -> bytes:
     """Internal symbol list back to original bytes (sentinel renders as $)."""
-    if text.remap is None:
-        return bytes(syms)
     return bytes(int(text.remap[s]) for s in syms)
 
 

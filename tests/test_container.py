@@ -62,6 +62,24 @@ def test_bad_magic_rejected():
         load_index(b"XXXX" + b"\x00" * 64)
 
 
+def test_nonzero_sentinel_rejected():
+    # the params section's fifth field is the sentinel symbol, always 0
+    blob = bytearray(dump_index(build_index(load_text(FIG_W), 2)))
+    load_index(bytes(blob))
+    struct.pack_into("<Q", blob, section_offsets(blob)[0] + 32, ord("$"))
+    with pytest.raises(FormatError, match="sentinel"):
+        load_index(bytes(blob))
+
+
+@pytest.mark.parametrize("bit", range(1, 16))
+def test_unknown_flag_bit_rejected(bit):
+    # only bit 0 (packed) is defined
+    blob = dump_index(build_index(load_text(b"ab" * 30), 4, packed=True))
+    (flags,) = struct.unpack("<H", blob[6:8])
+    with pytest.raises(FormatError, match="flag"):
+        load_index(blob[:6] + struct.pack("<H", flags | 1 << bit) + blob[8:])
+
+
 def test_bad_version_rejected():
     text = load_text(FIG_W)
     blob = bytearray(dump_index(build_index(text, 2)))

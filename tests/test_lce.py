@@ -152,6 +152,11 @@ def test_query_range_errors():
                    (nbits + 1, nbits + 1)]:
         with pytest.raises(OutOfRange):
             pk.bit_lce(bi, bj)
+    # a float position is not an index, even on the diagonal or in range
+    for i, j in [(3.0, 3.0), (1.0, 9.0), (1, 9.0), (2.5, 1)]:
+        for query in queries:
+            with pytest.raises(TypeError):
+                query(i, j)
 
 
 @pytest.mark.parametrize("raw", [fib_word(700),

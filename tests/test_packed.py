@@ -247,6 +247,6 @@ def test_packed_requires_two_symbols():
     import numpy as np
     from lcex.textstore import Text
 
-    degenerate = Text(arr=np.zeros(3, dtype=np.uint8), n=3, sigma=1, sentinel=0)
+    degenerate = Text(arr=np.zeros(3, dtype=np.uint8), n=3, sigma=1)
     with pytest.raises(ValueError):
         pack(degenerate)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from lcex.errors import EmptyInput, OutOfRange, SentinelCollision
+from lcex.errors import EmptyInput, OutOfRange
 from lcex.textstore import load_text, substring
 
 from conftest import EXAMPLE_W
@@ -34,18 +34,6 @@ def test_auto_sentinel_is_smallest():
     t = load_text(bytes(range(1, 100)))
     assert t.sentinel == 0
     assert t.arr[:-1].min() > 0
-
-
-def test_explicit_sentinel():
-    t = load_text(b"abc", sentinel=ord("$"))
-    assert t.n == 4
-    assert t.sentinel == ord("$")
-    assert substring(t, 1, 4) == b"abc$"
-
-
-def test_explicit_sentinel_collision():
-    with pytest.raises(SentinelCollision):
-        load_text(b"ab$c", sentinel=ord("$"))
 
 
 def test_empty_input():
