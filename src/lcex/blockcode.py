@@ -1,6 +1,7 @@
-"""Block-wise LCE over cover positions: rank t-blocks, concatenate per-residue
-rank sequences with unique separators, and run suffix-array machinery on the
-result so one range-minimum answers floor(LCE/t)."""
+"""Block-wise LCE over cover positions: rank t-blocks by the text's depth-t
+prefix classes, concatenate per-residue rank sequences with unique
+separators, and run suffix-array machinery on the result so one
+range-minimum answers floor(LCE/t)."""
 
 from __future__ import annotations
 
@@ -15,23 +16,14 @@ def rank_blocks(t: Text, cover: CoverIndex) -> np.ndarray:
     """Lexicographic ranks of the defined t-blocks, in code(w) order (block
     i fills slot ``seg_start[i % t] + (i - 1) // t``).
 
-    Read off the text's suffix array: suffixes of length >= t in SA order
-    start a new t-gram wherever the LCP run-minimum since the previous one
-    is < t (an LCP interval).  The ranks are dense over all t-grams of the
-    text; ``suffix_array(code)`` reads only their order and equalities.
+    The text's depth-t prefix classes are its t-grams in SA order, plus one
+    singleton class per suffix shorter than t; counting the whole t-grams
+    ranks them.  The ranks are dense over all t-grams of the text, 1-based;
+    ``suffix_array(code)`` reads only their order and equalities.
     """
-    n, bt = t.n, cover.t
-    sa = t.suffix_array()
-    lcp = t.lcp_array()
-    keep = np.flatnonzero(sa <= n - bt)
-    # lcp_next[k] = lcp(sa[k], sa[k+1]); a segment's minimum spans the gap
-    # of short suffixes between two kept ones
-    lcp_next = np.append(lcp[1:], 0)
-    new = np.ones(len(keep), dtype=np.int64)
-    new[1:] = np.minimum.reduceat(lcp_next, keep)[:-1] < bt
-    full = np.zeros(n + 1, dtype=np.int64)
-    full[sa[keep] + 1] = np.cumsum(new)
-    return full[cover.defined_positions()]
+    starts, group = t.prefix_classes(cover.t)
+    whole = t.suffix_array()[starts] <= t.n - cover.t
+    return np.cumsum(whole)[group[cover.defined_positions() - 1]]
 
 
 class BlockCode:

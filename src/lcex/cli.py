@@ -264,13 +264,10 @@ def main(argv=None) -> int:
         return 2 if exc.code else 0
     try:
         return args.func(args)
-    except (OutOfRange, ParamOutOfRange, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except LcexError as exc:
+    except (LcexError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -168,14 +168,13 @@ def build_index(t: Text, t_param: int, t_prime: int | None = None,
 
     dc = build_difference_cover(t_param)
     cover = build_cover_index(dc, n)
-    tree = _tst.build_leaf_table(t, 2 * tp)
-    nav = _nav.build_navtree(t, tree, tp)
+    tree, leaf_of_pos, leftmost = _tst.build_leaf_table(t, 2 * tp)
+    nav = _nav.build_navtree(t, tree, leaf_of_pos, tp)
     tree.nav_parent = nav.parent
     # the paper's trie figures, from the leaf table without building the trie
-    ref_len = _tst.reference_length(tree)
-    # transient build artifacts, dropped after their last reader; the index
-    # stays sub-linear
-    tree.leaf_of_pos = tree.leftmost = None
+    ref_len = _tst.reference_length(leftmost, tree.q, n)
+    # build-only maps, dropped after their last reader
+    del leaf_of_pos, leftmost
     bc = _bc.build_blockcode(_bc.rank_blocks(t, cover), cover)
 
     pk = None

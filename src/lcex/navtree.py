@@ -1,8 +1,10 @@
 """Spanning-tree navigation over 2t-gram contexts: maps any position to its
 trie leaf in O(1) and answers length-capped LCE queries.
 
-Nodes are the leaves of the depth-2t truncated suffix tree.  Each node's
-parent is the node of the position after its rightmost occurrence; walking
+Nodes are the leaves of the depth-2t truncated suffix tree, the text's
+depth-2t prefix classes (``Text.prefix_classes``), so the leaf table's
+position->leaf map gives every position's node.  Each node's parent is the
+node of the position after its rightmost occurrence; walking
 d ancestors from the node of a sampled position deletes d leading
 characters, which recovers the node spelling at least the first t
 characters of any position's context.
@@ -89,8 +91,9 @@ class NavTree:
         return self.lift_np[d, self.row_np[k]].astype(np.int64)
 
 
-def build_navtree(t: Text, tree: LeafTable, blk: int) -> NavTree:
-    """Spanning tree over the 2*blk-gram graph.
+def build_navtree(t: Text, tree: LeafTable, leaf_of_pos: np.ndarray, blk: int) -> NavTree:
+    """Spanning tree over the 2*blk-gram graph, from each 0-based
+    position's leaf rank (``build_leaf_table``'s position->leaf map).
 
     parent(node at i) = node at i+1, taken at the node's rightmost
     occurrence; every node is some position's context, so the relation is a
@@ -98,16 +101,13 @@ def build_navtree(t: Text, tree: LeafTable, blk: int) -> NavTree:
     """
     if tree.q != 2 * blk:
         raise ValueError("navigation tree needs a trie of depth exactly 2*blk")
-    if tree.leaf_of_pos is None:
-        raise ValueError("trie is missing its transient position map")
     n = t.n
-    lop = tree.leaf_of_pos
     rightmost = np.full(tree.leaf_count, -1, dtype=np.int64)
-    np.maximum.at(rightmost, lop[: n - 1], np.arange(n - 1))
-    root = int(lop[n - 1])
-    parent = lop[rightmost + 1]
+    np.maximum.at(rightmost, leaf_of_pos[: n - 1], np.arange(n - 1))
+    root = int(leaf_of_pos[n - 1])
+    parent = leaf_of_pos[rightmost + 1]
     parent[root] = root
-    return NavTree(t=blk, n=n, parent=parent, root=root, sampled=lop[::blk])
+    return NavTree(t=blk, n=n, parent=parent, root=root, sampled=leaf_of_pos[::blk])
 
 
 def short_lce(nav: NavTree, tree: LeafTable, i: int, j: int) -> int:

@@ -52,6 +52,18 @@ class Text:
             self._lcp = suffixes.lcp_array(self.arr, self.suffix_array())
         return self._lcp
 
+    def prefix_classes(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """Group the suffixes by their first k >= 1 symbols, clipped at the
+        end of the text: the depth-k LCP intervals, in SA order.  Returns the
+        SA slots where a group starts (``lcp < k``) and each 0-based
+        position's 0-based group."""
+        is_new = self.lcp_array() < k
+        ids = np.cumsum(is_new)
+        ids -= 1
+        group = np.empty(self.n, dtype=np.int64)
+        group[self.suffix_array()] = ids
+        return np.flatnonzero(is_new), group
+
     def symbol(self, i: int) -> int:
         if not 1 <= i <= self.n:
             raise OutOfRange(f"position {i} not in [1..{self.n}]")

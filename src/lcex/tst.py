@@ -1,7 +1,8 @@
 """Truncated suffix tree as a leaf table, and the full compacted trie.
 
-Truncating the sorted suffixes of a text at q keeps them sorted, and adjacent
-duplicates collapse into one leaf per distinct clipped suffix.  The index
+The leaves are the text's depth-q prefix classes (``Text.prefix_classes``):
+truncating the sorted suffixes at q keeps them sorted, and each LCP interval
+of depth q collapses into one leaf per distinct clipped suffix.  The index
 keeps only the LCP-interval view of the trie (Abouelhoda, Kurtz & Ohlebusch
 2004): the adjacent-leaf LCPs, the few leaf depths below q and the alphabet.
 For the paper's space bounds, ``build_tst`` adds the compacted trie's nodes
@@ -47,10 +48,6 @@ class LeafTable:
         self.tour_sparse = SparseMin(leaf_lcp)
         self.leaf_lcp = self.tour_sparse.table[0]
         self.nav_parent: np.ndarray | None = None
-        # transient: position -> leaf rank and each leaf's leftmost 0-based
-        # occurrence, dropped once dependents are built
-        self.leaf_of_pos: np.ndarray | None = None
-        self.leftmost: np.ndarray | None = None
 
     @property
     def leaf_count(self) -> int:
@@ -113,26 +110,20 @@ class LeafTable:
         return val
 
 
-def build_leaf_table(t: Text, q: int) -> LeafTable:
-    """Group the text's suffix array into the leaves of the q-truncated trie:
-    a new leaf starts wherever the LCP with the previous suffix is below q."""
+def build_leaf_table(t: Text, q: int) -> tuple[LeafTable, np.ndarray, np.ndarray]:
+    """The leaves of the q-truncated trie are the text's depth-q prefix
+    classes.  Also returns the build-only maps that the navigation tree and
+    the reference string read: each 0-based position's leaf rank and each
+    leaf's leftmost 0-based occurrence."""
     if not 1 <= q <= t.n:
         raise ValueError(f"q={q} not in [1..{t.n}]")
-    n = t.n
     sa = t.suffix_array()
-    lcp = t.lcp_array()
-    is_new = np.empty(n, dtype=bool)
-    is_new[0] = True
-    is_new[1:] = lcp[1:] < q
-    starts = np.flatnonzero(is_new)
-    leaf_lcp = lcp[starts]                       # lcp[0] = 0, the rest are < q
-    depth = np.minimum(n - sa[starts], q)
+    starts, leaf_of_pos = t.prefix_classes(q)
+    leaf_lcp = t.lcp_array()[starts]             # lcp[0] = 0, the rest are < q
+    depth = np.minimum(t.n - sa[starts], q)
     short = np.flatnonzero(depth < q)
-    table = LeafTable(q, n, leaf_lcp, short, depth[short], t.arr[sa[starts[leaf_lcp == 0]]])
-    table.leaf_of_pos = np.empty(n, dtype=np.int64)
-    table.leaf_of_pos[sa] = np.cumsum(is_new) - 1
-    table.leftmost = np.minimum.reduceat(sa, starts)
-    return table
+    table = LeafTable(q, t.n, leaf_lcp, short, depth[short], t.arr[sa[starts[leaf_lcp == 0]]])
+    return table, leaf_of_pos, np.minimum.reduceat(sa, starts)
 
 
 class TruncatedSuffixTree(LeafTable):
@@ -144,11 +135,11 @@ class TruncatedSuffixTree(LeafTable):
     """
 
     def __init__(self, table: LeafTable, parent: np.ndarray, leaves: list[int],
-                 ref: np.ndarray):
+                 ref: np.ndarray, start: np.ndarray):
         vars(self).update(vars(table))
         self.parent = parent
         self.leaves = leaves
-        self.start = table.leftmost
+        self.start = start
         self.ref = ref
 
     @property
@@ -167,7 +158,7 @@ def build_tst(t: Text, q: int) -> TruncatedSuffixTree:
     One sweep over the leaves in lex order keeps the stack of open nodes;
     leaf windows reference the Text until ``compact_reference`` rebases them.
     """
-    table = build_leaf_table(t, q)
+    table, _, leftmost = build_leaf_table(t, q)
     parent = [-1]
     sdepth = [0]
     leaves = []
@@ -190,7 +181,8 @@ def build_tst(t: Text, q: int) -> TruncatedSuffixTree:
         stack.append(len(parent))
         parent.append(top)
         sdepth.append(length)
-    return TruncatedSuffixTree(table, np.asarray(parent, dtype=np.int64), leaves, t.arr)
+    return TruncatedSuffixTree(table, np.asarray(parent, dtype=np.int64), leaves, t.arr,
+                               leftmost)
 
 
 def _reference_pieces(leftmost: np.ndarray, q: int, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -204,9 +196,10 @@ def _reference_pieces(leftmost: np.ndarray, q: int, n: int) -> tuple[np.ndarray,
     return starts[head], np.maximum.reduceat(ends, head)
 
 
-def reference_length(table: LeafTable) -> int:
-    """Length of the reference string ``compact_reference`` would build."""
-    p_start, p_end = _reference_pieces(table.leftmost, table.q, table.n)
+def reference_length(leftmost: np.ndarray, q: int, n: int) -> int:
+    """Length of the reference string ``compact_reference`` would build from
+    the leaves' leftmost occurrences."""
+    p_start, p_end = _reference_pieces(leftmost, q, n)
     return int((p_end - p_start).sum())
 
 

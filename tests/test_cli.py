@@ -46,6 +46,18 @@ def test_build_missing_input(tmp_path):
                  "-o", str(tmp_path / "x.lcex")]) == 3
 
 
+def test_build_empty_input(tmp_path):
+    empty = tmp_path / "empty.bin"
+    empty.write_bytes(b"")
+    assert main(["build", str(empty), "--t", "4", "-o", str(tmp_path / "x.lcex")]) == 2
+
+
+def test_query_pairs_file_line_with_one_number(tmp_path, index_file):
+    pf = tmp_path / "pairs.txt"
+    pf.write_text("1 8\n2\n")
+    assert main(["query", index_file, "--pairs-file", str(pf)]) == 2
+
+
 def test_query_pair(capsys, index_file):
     assert main(["query", index_file, "--pair", "1", "8"]) == 0
     assert capsys.readouterr().out.strip() == "1 8 14"

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lcex.container import dump_index, load_index
 from lcex.lce import build_index
 from lcex.navtree import build_navtree
 from lcex.textstore import Text, load_text
@@ -41,12 +42,12 @@ def scanned_parents(leaf_of_pos: np.ndarray, leaves: int) -> np.ndarray:
 
 def check_against_trie(text: Text, blk: int, strings: int | None = None) -> None:
     q = 2 * blk
-    table = build_leaf_table(text, q)
+    table, leaf_of_pos, leftmost = build_leaf_table(text, q)
     tree = build_tst(text, q)
     assert table.node_count == tree.node_count
-    assert reference_length(table) == len(compact_reference(tree, text).ref)
-    nav = build_navtree(text, table, blk)
-    assert (nav.parent == scanned_parents(table.leaf_of_pos, table.leaf_count)).all()
+    assert reference_length(leftmost, q, text.n) == len(compact_reference(tree, text).ref)
+    nav = build_navtree(text, table, leaf_of_pos, blk)
+    assert (nav.parent == scanned_parents(leaf_of_pos, table.leaf_count)).all()
     table.nav_parent = nav.parent
     ranks = range(table.leaf_count) if strings is None else np.linspace(
         0, table.leaf_count - 1, strings).astype(int).tolist()
@@ -77,7 +78,8 @@ def test_index_stats_are_the_trie_figures():
     tree = build_tst(text, 16)
     assert ix.stats.tst_nodes == tree.node_count == ix.tree.node_count
     assert ix.stats.tst_ref_len == len(compact_reference(tree, text).ref)
-    assert ix.tree.leaf_of_pos is None and ix.tree.leftmost is None
+    for tree in (ix.tree, load_index(dump_index(ix)).tree):
+        assert not hasattr(tree, "leaf_of_pos") and not hasattr(tree, "leftmost")
 
 
 @pytest.mark.parametrize("raw,t,tp", TWIN_CASES)

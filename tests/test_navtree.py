@@ -16,7 +16,7 @@ from conftest import (FIG_W, TWIN_CASES, built_and_loaded, decode_syms, fib_word
 def make(raw, t):
     text = load_text(raw)
     tree = build_tst(text, 2 * t)
-    nav = build_navtree(text, tree, t)
+    nav = build_navtree(text, tree, text.prefix_classes(2 * t)[1], t)
     return text, tree, nav
 
 
@@ -62,7 +62,7 @@ def test_parent_deletes_first_symbol():
 def test_suffix_chain_depths():
     text, tree, nav = make(FIG_W, 2)
     n, t = text.n, 2
-    lop = tree.leaf_of_pos
+    lop = text.prefix_classes(2 * t)[1]
     for k in range(max(1, n - 2 * t), n + 1):
         node = int(lop[k - 1])
         assert nav.depth[node] == n - k
@@ -72,7 +72,7 @@ def test_suffix_chain_depths():
 
 def test_sampled_pointers():
     text, tree, nav = make(FIG_W, 3)
-    lop = tree.leaf_of_pos
+    lop = text.prefix_classes(6)[1]
     assert len(nav.sampled) == -(-text.n // 3)
     for k, node in enumerate(nav.sampled):
         assert node == int(lop[k * 3])
@@ -125,7 +125,7 @@ def test_short_lce_random(raw, t, data):
     if t < 1:
         return
     tree = build_tst(text, 2 * t)
-    nav = build_navtree(text, tree, t)
+    nav = build_navtree(text, tree, text.prefix_classes(2 * t)[1], t)
     for _ in range(30):
         i = data.draw(st.integers(1, text.n))
         j = data.draw(st.integers(1, text.n))
@@ -139,7 +139,7 @@ def test_level_ancestor_matches_parent_walk(raw, t):
     if 2 * t > text.n:
         return
     tree = build_tst(text, 2 * t)
-    nav = build_navtree(text, tree, t)
+    nav = build_navtree(text, tree, text.prefix_classes(2 * t)[1], t)
     for v in range(nav.node_count):
         u = v
         for d in range(nav.depth[v] + 1):

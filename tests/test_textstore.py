@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from lcex.errors import EmptyInput, OutOfRange
 from lcex.textstore import load_text, substring
@@ -83,3 +83,37 @@ def test_substring_length(raw, data):
 def test_substring_roundtrips_original(raw):
     t = load_text(raw)
     assert substring(t, 1, t.n - 1) == raw
+
+
+def brute_prefix_classes(t, k):
+    """Group starts in SA order and each position's group, by sorting the
+    suffixes and their clipped k-prefixes as Python lists."""
+    s = t.arr.tolist()
+    sa = sorted(range(t.n), key=lambda p: s[p:])
+    keys = [tuple(s[p : p + k]) for p in range(t.n)]
+    starts = [x for x in range(t.n) if x == 0 or keys[sa[x]] != keys[sa[x - 1]]]
+    rank = {key: g for g, key in enumerate(sorted(set(keys)))}
+    return starts, [rank[key] for key in keys]
+
+
+def check_prefix_classes(t, k):
+    starts, group = t.prefix_classes(k)
+    want_starts, want_group = brute_prefix_classes(t, k)
+    assert starts.tolist() == want_starts, k
+    assert group.tolist() == want_group, k
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([1, 2, 3, 4, 5, 6, 255]).flatmap(
+           lambda sigma: st.lists(st.integers(0, sigma - 1), min_size=1, max_size=299)),
+       st.data())
+def test_prefix_classes_match_clipped_prefixes(symbols, data):
+    t = load_text(bytes(symbols))
+    check_prefix_classes(t, data.draw(st.integers(1, t.n)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 40])
+def test_prefix_classes_unary(n):
+    t = load_text(b"a" * n)
+    for k in range(1, t.n + 1):
+        check_prefix_classes(t, k)

@@ -50,8 +50,9 @@ def test_position_completeness():
     t = load_text(FIG_W)
     tree = build_tst(t, 5)
     s = bytes(t.symbols())
+    leaf_of_pos = t.prefix_classes(5)[1]
     for i in range(1, t.n + 1):
-        g = int(tree.leaf_of_pos[i - 1])
+        g = int(leaf_of_pos[i - 1])
         assert bytes(tree.leaf_string(g)) == s[i - 1 : min(i - 1 + 5, t.n)]
 
 
